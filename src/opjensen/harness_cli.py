@@ -2,9 +2,12 @@
 
 Subcommands:
   campaign --config cfg.json [--jobs N] [--out PATH]
-  check    --name check_cfl --d1 2 --d2 2 --function square --seed 7 --trials 100 ...
+  check    --name NAME --d1 2 --d2 2 --function square --seed 7 --trials 100 ...
   search   --target petz_drop_f0 --trials 10 --seed 1 [--dims 2,3] [--out PATH]
   replay   --witness reports.jsonl
+
+Check names, and the config axes each check sweeps, come from the check
+registry `jensen_checks.CHECKS`.
 
 Exit codes: 0 all pass, 1 inequality violation in a non-ablation check,
 2 usage/config error, 3 numeric error. The OPJENSEN_SEED environment
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -34,25 +38,16 @@ from .errors import (
 )
 from .jensen_checks import (
     ABLATION_TARGETS,
+    CHECKS,
     ablation_search,
+    lookup_check,
     replay_report,
     run_trial,
-    trial_compatible,
 )
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
 
-CHECK_NAMES = (
-    "check_cfl",
-    "check_main_tracial",
-    "check_petz",
-    "check_vector_jensen",
-    "check_spectral_preorder_lemma",
-    "check_pinching_chain",
-    "check_partial_trace_duality",
-    "check_state_version",
-    "check_hansen_pedersen",
-)
+CHECK_NAMES = tuple(CHECKS)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -109,7 +104,7 @@ class CampaignConfig:
 def default_campaign(master_seed: int = 12345, out_path: str = "campaign_reports.jsonl") -> CampaignConfig:
     """The built-in smoke campaign: every check over small dims."""
     return CampaignConfig(
-        checks=list(CHECK_NAMES),
+        checks=list(CHECKS),
         trials=40,
         dims=[(2, 2), (2, 3), (3, 2)],
         functions=[
@@ -127,19 +122,6 @@ def default_campaign(master_seed: int = 12345, out_path: str = "campaign_reports
 # Cell expansion
 # ---------------------------------------------------------------------------
 
-_CHECK_AXES = {
-    "check_cfl": ("dims", "functions"),
-    "check_main_tracial": ("dims", "functions", "weights", "branches"),
-    "check_petz": ("dims", "functions", "map_kinds", "weights"),
-    "check_vector_jensen": ("dims", "functions", "map_kinds"),
-    "check_spectral_preorder_lemma": ("dims", "functions", "map_kinds", "weights"),
-    "check_pinching_chain": ("dims", "functions", "map_kinds", "weights"),
-    "check_partial_trace_duality": ("dims", "weights"),
-    "check_state_version": ("dims", "functions"),
-    "check_hansen_pedersen": ("dims", "functions"),
-}
-
-
 def _parse_functions(specs: list[str]) -> list[ScalarFunction]:
     try:
         return [parse_function_spec(s) for s in specs]
@@ -154,11 +136,8 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
     (function, map kind, branch) combination violates the check's hypotheses
     are filtered out.
     """
-    if check_name not in _CHECK_AXES:
-        raise UsageError(
-            f"unknown check {check_name!r}; valid checks: {', '.join(CHECK_NAMES)}"
-        )
-    axes = _CHECK_AXES[check_name]
+    spec = lookup_check(check_name)
+    axes = spec.axes
     functions = _parse_functions(config.functions) if "functions" in axes else [None]
     dims = config.dims or []
     if not dims:
@@ -176,20 +155,13 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
             raise UsageError(f"trace weights must be positive, got ({w1}, {w2})")
     branches = ("normalized", "subnormalized") if "branches" in axes else (None,)
     cells = []
-    for d1, d2 in dims:
-        for f in functions:
-            for kind in kinds:
-                for w1, w2 in weights:
-                    for branch in branches:
-                        cell = {"d1": d1, "d2": d2, "w1": w1, "w2": w2}
-                        if f is not None:
-                            cell["function"] = f
-                        if kind is not None:
-                            cell["map_kind"] = kind
-                        if branch is not None:
-                            cell["branch"] = branch
-                        if trial_compatible(check_name, cell):
-                            cells.append(cell)
+    for (d1, d2), f, kind, (w1, w2), branch in itertools.product(
+            dims, functions, kinds, weights, branches):
+        cell = {"d1": d1, "d2": d2, "w1": w1, "w2": w2,
+                "function": f, "map_kind": kind, "branch": branch}
+        cell = {k: v for k, v in cell.items() if v is not None}
+        if spec.compatible(cell):
+            cells.append(cell)
     if not cells:
         raise UsageError(
             f"{check_name}: no valid parameter cells after hypothesis filtering; "
@@ -382,24 +354,24 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.name not in CHECK_NAMES:
-        raise UsageError(f"unknown check {args.name!r}; valid checks: {', '.join(CHECK_NAMES)}")
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     seed = _env_seed(args.seed)
     tol = ToleranceConfig(atol=args.tol, rtol=args.tol)
-    try:
-        f = parse_function_spec(args.function)
-    except UnknownFunctionError as exc:
-        raise UsageError(str(exc)) from exc
-    cell = {
-        "d1": args.d1, "d2": args.d2, "w1": args.w1, "w2": args.w2,
-        "function": f, "map_kind": args.map_kind, "branch": args.branch,
-    }
-    if not trial_compatible(args.name, cell):
+    # The flags are one value per campaign axis, validated like a config.
+    config = CampaignConfig(
+        checks=[args.name], trials=args.trials, dims=[(args.d1, args.d2)],
+        functions=[args.function], map_kinds=[args.map_kind],
+        weights=[(args.w1, args.w2)],
+    )
+    cells = [c for c in expand_cells(config, args.name)
+             if c.get("branch", args.branch) == args.branch]
+    if not cells:
         raise UsageError(
-            f"{args.name} with function {f.label!r} and map {args.map_kind!r} "
+            f"{args.name} with function {args.function!r} on the {args.branch} branch "
             f"violates the check's hypotheses"
         )
-    reports = [run_trial(args.name, cell, seed, t, tol) for t in range(args.trials)]
+    reports = [run_trial(args.name, cells[0], seed, t, tol) for t in range(args.trials)]
     failed = [r for r in reports if not r.passed]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -418,6 +390,8 @@ def _cmd_search(args) -> int:
         raise UsageError(
             f"unknown ablation target {args.target!r}; valid targets: {', '.join(ABLATION_TARGETS)}"
         )
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     try:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:

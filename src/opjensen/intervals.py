@@ -25,10 +25,6 @@ class Interval:
         return cls(lo, hi, lo_open=False, hi_open=False)
 
     @classmethod
-    def open(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi, lo_open=True, hi_open=True)
-
-    @classmethod
     def half_open(cls, lo: float, hi: float) -> "Interval":
         """[lo, hi) — the convention used for monotone pieces."""
         return cls(lo, hi, lo_open=False, hi_open=True)
@@ -53,13 +49,6 @@ class Interval:
         if t > self.hi or (t == self.hi and self.hi_open):
             return False
         return True
-
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
     def is_bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)

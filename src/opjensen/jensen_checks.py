@@ -22,18 +22,28 @@ failure witness replays bit-exactly. The inequalities verified:
     a contraction a.
   * check_hansen_pedersen: the operator-level contractive Jensen inequality
     f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
+
+`CHECKS` registers each check once: its campaign axes, cell compatibility,
+seeded instance generator, and witness codec. Campaign expansion, trial
+generation, and replay all go through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .convex_catalog import ScalarFunction, get_function
-from .errors import BoundaryAmbiguityError, DimensionError, HypothesisError, NumericError
+from .errors import (
+    BoundaryAmbiguityError,
+    DimensionError,
+    HypothesisError,
+    NumericError,
+    UsageError,
+)
 from .intervals import Interval
 from .linalg_core import (
     DEFAULT_TOL,
@@ -53,6 +63,7 @@ from .linalg_core import (
     random_unit_vector,
     random_unitary,
     rng_stream,
+    stream_token,
     symmetrize,
 )
 from .positive_maps import (
@@ -89,6 +100,9 @@ __all__ = [
     "check_partial_trace_duality",
     "check_state_version",
     "check_hansen_pedersen",
+    "CheckSpec",
+    "CHECKS",
+    "lookup_check",
     "ablation_search",
     "AblationResult",
     "ABLATION_TARGETS",
@@ -96,61 +110,57 @@ __all__ = [
     "run_trial",
     "replay_report",
     "working_interval",
-    "petz_compatible",
-    "trial_compatible",
-    "PETZ_STYLE_KINDS",
 ]
 
-_UNITAL_TOL = 1e-10
 _NORMALIZED_TOL = 1e-10
 
 
-def _attach_tol(witness: dict | None, tol: ToleranceConfig) -> dict | None:
-    if witness is not None:
-        witness.setdefault("inputs", {})["tol"] = [tol.atol, tol.rtol, tol.eig_cluster_tol]
-    return witness
-
-
-def _one_sided_report(
+def _report(
     name: str,
     seed: int,
     params: dict,
     lhs: float,
     rhs: float,
-    tol: ToleranceConfig,
-    witness_fn: Callable[[], dict] | None,
+    gap: float,
+    tol_val: float,
+    passed: bool,
+    inputs: dict,
 ) -> CheckReport:
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise NumericError(f"{name}: non-finite lhs/rhs ({lhs!r}, {rhs!r})")
-    gap = rhs - lhs
-    tol_val = tol.bound(lhs, rhs)
-    passed = gap >= -tol_val
-    witness = None if passed or witness_fn is None else _attach_tol(witness_fn(), tol)
+    """A check's report; a failing one carries its encoded inputs as witness.
+
+    `inputs` holds the check's arguments as the check used them (hermitized,
+    snapped, ...), `tol` and `enforce_hypotheses` included, so that
+    `replay_report` repeats exactly this call.
+    """
+    witness = None if passed else {"inputs": CHECKS[name].encode(inputs)}
     return CheckReport(
         check_name=name, seed=seed, params=params,
         lhs=lhs, rhs=rhs, gap=gap, tol=tol_val, passed=passed, witness=witness,
     )
 
 
+def _one_sided_report(
+    name: str, seed: int, params: dict, lhs: float, rhs: float, inputs: dict
+) -> CheckReport:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NumericError(f"{name}: non-finite lhs/rhs ({lhs!r}, {rhs!r})")
+    gap = rhs - lhs
+    tol_val = inputs["tol"].bound(lhs, rhs)
+    return _report(name, seed, params, lhs, rhs, gap, tol_val, gap >= -tol_val, inputs)
+
+
 def _indicator_report(
-    name: str,
-    seed: int,
-    params: dict,
-    failed_assertions: list[str],
-    tol: ToleranceConfig,
-    witness_fn: Callable[[], dict] | None,
+    name: str, seed: int, params: dict, failed_assertions: list[str], detail: dict,
+    inputs: dict,
 ) -> CheckReport:
     n_failed = float(len(failed_assertions))
-    tol_val = tol.bound()
-    passed = n_failed == 0.0
-    witness = None
-    if not passed:
+    if detail:
+        params["detail"] = detail
+    if failed_assertions:
         params = dict(params, failed=failed_assertions)
-        if witness_fn is not None:
-            witness = _attach_tol(witness_fn(), tol)
-    return CheckReport(
-        check_name=name, seed=seed, params=params,
-        lhs=n_failed, rhs=0.0, gap=-n_failed, tol=tol_val, passed=passed, witness=witness,
+    return _report(
+        name, seed, params, n_failed, 0.0, -n_failed, inputs["tol"].bound(),
+        not failed_assertions, inputs,
     )
 
 
@@ -171,59 +181,17 @@ def working_interval(
     lo -= pad
     hi += pad
     if domain is not None:
-        if math.isfinite(domain.lo):
-            inset = 1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0
-            lo = max(lo, domain.lo + inset)
-        if math.isfinite(domain.hi):
-            inset = 1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0
-            hi = min(hi, domain.hi - inset)
+        lo, hi = _clamp_to_domain(lo, hi, domain)
     return Interval.closed(lo, hi)
 
 
-def _function_payload(f: ScalarFunction) -> dict:
-    return {"name": f.name, "params": list(f.params)}
-
-
-def _decode_function(obj: dict) -> ScalarFunction:
-    return get_function(obj["name"], tuple(obj["params"]))
-
-
-def _map_payload(phi: PositiveMap) -> dict:
-    out = {
-        "kind": phi.kind,
-        "in_dim": phi.in_dim,
-        "out_dim": phi.out_dim,
-        "claimed_positive": phi.claimed_positive,
-        "claimed_unital": phi.claimed_unital,
-        "claimed_contractive": phi.claimed_contractive,
-    }
-    if phi.kraus is not None:
-        out["kraus"] = [encode_matrix(v) for v in phi.kraus]
-    else:
-        out["action"] = encode_matrix(phi.action)
-    return out
-
-
-def _decode_map(obj: dict) -> PositiveMap:
-    kwargs = dict(
-        kind=obj["kind"], in_dim=int(obj["in_dim"]), out_dim=int(obj["out_dim"]),
-        claimed_positive=bool(obj["claimed_positive"]),
-        claimed_unital=bool(obj["claimed_unital"]),
-        claimed_contractive=bool(obj["claimed_contractive"]),
-    )
-    if "kraus" in obj:
-        kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
-    else:
-        kwargs["action"] = decode_matrix(obj["action"])
-    return PositiveMap(**kwargs)
-
-
-def _algebra_payload(alg: BlockAlgebra) -> dict:
-    return {"block_dims": list(alg.block_dims), "trace_weights": list(alg.trace_weights)}
-
-
-def _decode_algebra(obj: dict) -> BlockAlgebra:
-    return BlockAlgebra(tuple(obj["block_dims"]), tuple(obj["trace_weights"]))
+def _clamp_to_domain(lo: float, hi: float, domain: Interval) -> tuple[float, float]:
+    """Clamp [lo, hi] into a domain, staying 1e-9 (relative) inside open ends."""
+    if math.isfinite(domain.lo):
+        lo = max(lo, domain.lo + (1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0))
+    if math.isfinite(domain.hi):
+        hi = min(hi, domain.hi - (1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +229,9 @@ def check_cfl(
     rhs = float(np.trace(root @ pt2_fH @ root).real)
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     params.update(extra_params or {})
-
-    def witness():
-        return {"inputs": {
-            "H": encode_matrix(Hm), "rho": encode_matrix(rho_m),
-            "function": _function_payload(f), "d1": space.d1, "d2": space.d2,
-        }}
-
-    return _one_sided_report("check_cfl", seed, params, lhs, rhs, tol, witness)
+    inputs = dict(H=Hm, rho=rho_m, f=f, space=space, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _one_sided_report("check_cfl", seed, params, lhs, rhs, inputs)
 
 
 def check_main_tracial(
@@ -326,21 +289,18 @@ def check_main_tracial(
         "w1": w1, "w2": w2, "branch": branch,
     }
     params.update(extra_params or {})
+    inputs = dict(H=Hm, a=am, f=f, space=space, weights=(w1, w2), branch=branch, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _one_sided_report("check_main_tracial", seed, params, lhs, rhs, inputs)
 
-    def witness():
-        return {"inputs": {
-            "H": encode_matrix(Hm), "a": encode_matrix(am),
-            "function": _function_payload(f), "d1": space.d1, "d2": space.d2,
-            "w1": w1, "w2": w2, "branch": branch,
-        }}
 
-    return _one_sided_report("check_main_tracial", seed, params, lhs, rhs, tol, witness)
+def _map_params(phi: PositiveMap, f: ScalarFunction, branch: str) -> dict:
+    return {"d1": phi.in_dim, "d2": phi.out_dim, "function": f.label,
+            "map_kind": phi.kind, "branch": branch}
 
 
 def _petz_branch(phi: PositiveMap, f: ScalarFunction, enforce: bool) -> str:
-    one_img = phi.on_identity()
-    unital = frob(one_img - np.eye(phi.out_dim)) <= _UNITAL_TOL
-    contractive = float(hermitian_eig(one_img).eigenvalues[-1]) <= 1.0 + _UNITAL_TOL
+    unital, contractive = phi.unital_contractive()
     positive = phi.claimed_positive
     if positive and unital and f.is_convex:
         return "unital"
@@ -359,7 +319,7 @@ def check_petz(
     phi: PositiveMap,
     x,
     f: ScalarFunction,
-    out_algebra: BlockAlgebra,
+    algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
     extra_params: dict | None = None,
@@ -369,23 +329,13 @@ def check_petz(
     xm = hermitize(x)
     branch = _petz_branch(phi, f, enforce_hypotheses)
     y = symmetrize(apply_map(phi, xm))
-    lhs = out_algebra.trace(matrix_function(y, f))
-    rhs = out_algebra.trace(apply_map(phi, matrix_function(xm, f)))
-    params = {
-        "d1": phi.in_dim, "d2": phi.out_dim, "function": f.label,
-        "map_kind": phi.kind, "branch": branch,
-        "w2": out_algebra.trace_weights[0],
-    }
+    lhs = algebra.trace(matrix_function(y, f))
+    rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))
+    params = dict(_map_params(phi, f, branch), w2=algebra.trace_weights[0])
     params.update(extra_params or {})
-
-    def witness():
-        return {"inputs": {
-            "x": encode_matrix(xm), "map": _map_payload(phi),
-            "function": _function_payload(f), "algebra": _algebra_payload(out_algebra),
-            "enforce_hypotheses": enforce_hypotheses,
-        }}
-
-    return _one_sided_report("check_petz", seed, params, lhs, rhs, tol, witness)
+    inputs = dict(phi=phi, x=xm, f=f, algebra=algebra, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _one_sided_report("check_petz", seed, params, lhs, rhs, inputs)
 
 
 def check_vector_jensen(
@@ -409,19 +359,10 @@ def check_vector_jensen(
     mean = float((v.conj() @ apply_map(phi, xm) @ v).real)
     lhs = f(mean)
     rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)
-    params = {
-        "d1": phi.in_dim, "d2": phi.out_dim, "function": f.label,
-        "map_kind": phi.kind, "branch": branch,
-    }
+    params = _map_params(phi, f, branch)
     params.update(extra_params or {})
-
-    def witness():
-        return {"inputs": {
-            "x": encode_matrix(xm), "map": _map_payload(phi), "xi": encode_matrix(v),
-            "function": _function_payload(f), "enforce_hypotheses": enforce_hypotheses,
-        }}
-
-    return _one_sided_report("check_vector_jensen", seed, params, lhs, rhs, tol, witness)
+    inputs = dict(phi=phi, x=xm, f=f, xi=v, tol=tol, enforce_hypotheses=enforce_hypotheses)
+    return _one_sided_report("check_vector_jensen", seed, params, lhs, rhs, inputs)
 
 
 def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int:
@@ -431,12 +372,7 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
     part outside cannot carry spectrum); an empty overlap counts as
     nonnegative, matching a zero projection.
     """
-    lo, hi = piece.lo, piece.hi
-    dom = f.domain
-    if math.isfinite(dom.lo):
-        lo = max(lo, dom.lo + (1e-9 * max(1.0, abs(dom.lo)) if dom.lo_open else 0.0))
-    if math.isfinite(dom.hi):
-        hi = min(hi, dom.hi - (1e-9 * max(1.0, abs(dom.hi)) if dom.hi_open else 0.0))
+    lo, hi = _clamp_to_domain(piece.lo, piece.hi, f.domain)
     if lo > hi:
         return 1
     ts = np.linspace(lo, hi, 33)
@@ -450,6 +386,12 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
     raise HypothesisError(f"function changes sign on piece {piece}")
 
 
+def _cluster_tol(eigenvalues: np.ndarray, tol: ToleranceConfig) -> float:
+    """The eigenvalue-cluster tolerance, relative to the spectrum's scale."""
+    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0)
+    return tol.eig_cluster_tol * scale
+
+
 def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) -> Interval:
     """Perturb a spectral-window piece so its endpoints avoid the spectrum.
 
@@ -458,8 +400,7 @@ def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) 
     the shift is a handful of cluster tolerances, far below any scale the
     sign and pre-order assertions can resolve.
     """
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(eigenvalues, tol)
     lo = snap_away_from_spectrum(piece.lo, eigenvalues, ctol)
     hi = snap_away_from_spectrum(piece.hi, eigenvalues, ctol)
     if lo > hi:
@@ -479,8 +420,7 @@ def _snapped_projections(
     spectrum touches the window ends.
     """
     w = dec_y.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(w, tol)
     pieces = [p for _, p in split.nonempty_pieces()]
     interior = [p.hi for p in pieces[:-1]]
     snapped = [-math.inf]
@@ -543,27 +483,12 @@ def check_spectral_preorder_lemma(
         if bad is not None:
             failed.append("preorder_nonpositive_piece")
             detail["preorder"] = bad
-    params = {
-        "d1": phi.in_dim, "d2": phi.out_dim, "function": f.label,
-        "map_kind": phi.kind, "branch": branch,
-        "piece": [piece.lo, piece.hi], "piece_sign": sign,
-    }
+    params = dict(_map_params(phi, f, branch), piece=[piece.lo, piece.hi], piece_sign=sign)
     params.update(extra_params or {})
-    if detail:
-        params["detail"] = detail
-
-    def witness():
-        return {"inputs": {
-            "x": encode_matrix(xm), "map": _map_payload(phi),
-            "function": _function_payload(f),
-            "piece": {"lo": piece.lo, "hi": piece.hi,
-                      "lo_open": piece.lo_open, "hi_open": piece.hi_open},
-            "algebra": _algebra_payload(algebra),
-            "enforce_hypotheses": enforce_hypotheses,
-        }}
-
+    inputs = dict(phi=phi, x=xm, f=f, piece=piece, algebra=algebra, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
     return _indicator_report(
-        "check_spectral_preorder_lemma", seed, params, failed, tol, witness
+        "check_spectral_preorder_lemma", seed, params, failed, detail, inputs
     )
 
 
@@ -632,23 +557,11 @@ def check_pinching_chain(
             algebra.trace(e_pos), min_pos, algebra.trace(e_neg), min_neg,
         ]
 
-    params = {
-        "d1": phi.in_dim, "d2": phi.out_dim, "function": f.label,
-        "map_kind": phi.kind, "branch": branch,
-        "n_pieces": len(projections),
-    }
+    params = dict(_map_params(phi, f, branch), n_pieces=len(projections))
     params.update(extra_params or {})
-    if detail:
-        params["detail"] = detail
-
-    def witness():
-        return {"inputs": {
-            "x": encode_matrix(xm), "map": _map_payload(phi),
-            "function": _function_payload(f), "algebra": _algebra_payload(algebra),
-            "enforce_hypotheses": enforce_hypotheses,
-        }}
-
-    return _indicator_report("check_pinching_chain", seed, params, failed, tol, witness)
+    inputs = dict(phi=phi, x=xm, f=f, algebra=algebra, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _indicator_report("check_pinching_chain", seed, params, failed, detail, inputs)
 
 
 def check_partial_trace_duality(
@@ -682,16 +595,11 @@ def check_partial_trace_duality(
         "lhs_value": lhs_val, "rhs_value": rhs_val,
     }
     params.update(extra_params or {})
-    witness = None
-    if not passed:
-        witness = _attach_tol({"inputs": {
-            "X": encode_matrix(Xm), "a": encode_matrix(am),
-            "d1": space.d1, "d2": space.d2, "w1": w1, "w2": w2,
-        }}, tol)
-    return CheckReport(
-        check_name="check_partial_trace_duality", seed=seed, params=params,
-        lhs=discrepancy, rhs=0.0, gap=-discrepancy, tol=tol_val, passed=passed,
-        witness=witness,
+    inputs = dict(X=Xm, a=am, space=space, weights=(w1, w2), tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _report(
+        "check_partial_trace_duality", seed, params,
+        discrepancy, 0.0, -discrepancy, tol_val, passed, inputs,
     )
 
 
@@ -740,16 +648,9 @@ def check_state_version(
     rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     params.update(extra_params or {})
-
-    def witness():
-        return {"inputs": {
-            "H": encode_matrix(Hm), "a": encode_matrix(am),
-            "rho1": encode_matrix(d1_m), "rho2": encode_matrix(d2_m),
-            "function": _function_payload(f), "d1": space.d1, "d2": space.d2,
-            "enforce_hypotheses": enforce_hypotheses,
-        }}
-
-    return _one_sided_report("check_state_version", seed, params, lhs, rhs, tol, witness)
+    inputs = dict(H=Hm, a=am, f=f, rho1=d1_m, rho2=d2_m, space=space, tol=tol,
+                  enforce_hypotheses=enforce_hypotheses)
+    return _one_sided_report("check_state_version", seed, params, lhs, rhs, inputs)
 
 
 def _is_numerically_unitary(a: np.ndarray) -> bool:
@@ -800,56 +701,17 @@ def check_hansen_pedersen(
         "a_unitary": unitary,
     }
     params.update(extra_params or {})
-    witness = None
-    if not passed:
-        witness = _attach_tol({"inputs": {
-            "H": encode_matrix(Hm), "a": encode_matrix(am),
-            "function": _function_payload(f), "d1": space.d1, "d2": space.d2,
-            "enforce_hypotheses": enforce_hypotheses,
-        }}, tol)
-    return CheckReport(
-        check_name="check_hansen_pedersen", seed=seed, params=params,
-        lhs=0.0, rhs=lam_min, gap=lam_min, tol=tol_val, passed=passed, witness=witness,
+    inputs = dict(H=Hm, a=am, f=f, space=space, tol=tol, enforce_hypotheses=enforce_hypotheses)
+    return _report(
+        "check_hansen_pedersen", seed, params, 0.0, lam_min, lam_min, tol_val, passed, inputs
     )
 
 
 # ---------------------------------------------------------------------------
-# Seeded trial generation
+# Seeded instance generation
 # ---------------------------------------------------------------------------
 
-PETZ_STYLE_KINDS = ("ucp_stinespring", "transpose", "pinching", "scaled_contractive", "zero")
 _UNITAL_KINDS = ("ucp_stinespring", "transpose", "pinching", "identity")
-
-
-def petz_compatible(map_kind: str, f: ScalarFunction) -> bool:
-    """Whether (map kind, function) satisfies one of the two hypothesis sets."""
-    if not f.is_convex:
-        return False
-    if map_kind in _UNITAL_KINDS:
-        return True
-    return f.vanishes_at_zero
-
-
-def trial_compatible(check_name: str, cell: dict) -> bool:
-    """Whether a campaign cell is a valid instance of a check's hypotheses."""
-    f: ScalarFunction | None = cell.get("function")
-    kind = cell.get("map_kind")
-    if check_name in ("check_petz", "check_vector_jensen",
-                      "check_spectral_preorder_lemma", "check_pinching_chain"):
-        return f is not None and kind is not None and petz_compatible(kind, f)
-    if check_name in ("check_state_version", "check_hansen_pedersen"):
-        return f is not None and f.is_operator_convex
-    if check_name == "check_main_tracial":
-        if f is None or not f.is_convex:
-            return False
-        if cell.get("branch") == "subnormalized":
-            return f.vanishes_at_zero
-        return True
-    if check_name == "check_cfl":
-        return f is not None and f.is_convex
-    if check_name == "check_partial_trace_duality":
-        return True
-    return False
 
 
 def _fit_spectrum(h: np.ndarray, f: ScalarFunction, margin: float = 0.5) -> np.ndarray:
@@ -881,12 +743,6 @@ def _subnormalized_element(dim: int, rng: np.random.Generator, w1: float) -> np.
     return g * (s / math.sqrt(norm_sq))
 
 
-def _petz_dims(map_kind: str, d1: int, d2: int) -> tuple[int, int]:
-    if map_kind in ("transpose", "pinching"):
-        return d1, d1
-    return d1, d2
-
-
 def _contraction_for(f: ScalarFunction, dim: int, rng: np.random.Generator) -> np.ndarray:
     """A contraction compatible with f for the state-version checks.
 
@@ -899,6 +755,236 @@ def _contraction_for(f: ScalarFunction, dim: int, rng: np.random.Generator) -> n
     return random_contraction(dim, rng)
 
 
+# A campaign cell carries the sweep axes (d1, d2, function, map_kind, w1, w2,
+# branch). Each check's `draw` turns a cell into the keyword inputs of one
+# random instance; keyword arguments are evaluated left to right, which fixes
+# the order the RNG is consumed in.
+
+def _space(cell: dict) -> TensorSpace:
+    return TensorSpace(int(cell.get("d1", 2)), int(cell.get("d2", 2)))
+
+
+def _weights(cell: dict) -> tuple[float, float]:
+    return float(cell.get("w1", 1.0)), float(cell.get("w2", 1.0))
+
+
+def _fitted_hermitian(f: ScalarFunction, dim: int, rng: np.random.Generator) -> np.ndarray:
+    return _fit_spectrum(random_hermitian(dim, rng), f)
+
+
+def _draw_cfl(cell: dict, rng: np.random.Generator) -> dict:
+    f, space = cell["function"], _space(cell)
+    return dict(H=_fitted_hermitian(f, space.total_dim, rng),
+                rho=random_density(space.d1, rng), f=f, space=space)
+
+
+def _draw_main_tracial(cell: dict, rng: np.random.Generator) -> dict:
+    f, space, (w1, w2) = cell["function"], _space(cell), _weights(cell)
+    branch = cell.get("branch", "normalized")
+    h = _fitted_hermitian(f, space.total_dim, rng)
+    draw_a = random_l2_normalized if branch == "normalized" else _subnormalized_element
+    return dict(H=h, a=draw_a(space.d1, rng, w1), f=f, space=space, weights=(w1, w2),
+                branch=branch)
+
+
+def _draw_map_input(cell: dict, rng: np.random.Generator) -> dict:
+    """A positive map Phi and self-adjoint x, plus the weighted algebra Phi
+    maps into, for the Petz-type checks."""
+    f, space, kind = cell["function"], _space(cell), cell["map_kind"]
+    out_dim = space.d1 if kind in ("transpose", "pinching") else space.d2
+    return dict(phi=random_positive_map(kind, space.d1, out_dim, rng),
+                x=_fitted_hermitian(f, space.d1, rng), f=f,
+                algebra=BlockAlgebra.single(out_dim, _weights(cell)[1]))
+
+
+def _draw_vector_jensen(cell: dict, rng: np.random.Generator) -> dict:
+    inputs = _draw_map_input(cell, rng)
+    del inputs["algebra"]
+    return dict(inputs, xi=random_unit_vector(inputs["phi"].out_dim, rng))
+
+
+def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
+    """A map input plus one monotone sign piece of f, drawn uniformly."""
+    inputs = _draw_map_input(cell, rng)
+    f = inputs["f"]
+    y = symmetrize(apply_map(inputs["phi"], hermitize(inputs["x"])))
+    split = monotone_sign_split(
+        f, working_interval(hermitian_eig(y).eigenvalues, domain=f.domain)
+    )
+    pieces = split.nonempty_pieces()
+    slot, piece = pieces[int(rng.integers(len(pieces)))]
+    return dict(inputs, piece=piece, extra_params={"piece_slot": slot})
+
+
+def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
+    space = _space(cell)
+    return dict(X=complex_gaussian(rng, space.total_dim, space.total_dim),
+                a=complex_gaussian(rng, space.d1, space.d1), space=space,
+                weights=_weights(cell))
+
+
+def _draw_compression(cell: dict, rng: np.random.Generator) -> dict:
+    """H with spectrum in f's domain and a contraction a suited to f."""
+    f, space = cell["function"], _space(cell)
+    return dict(H=_fitted_hermitian(f, space.total_dim, rng),
+                a=_contraction_for(f, space.d1, rng), f=f, space=space)
+
+
+def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
+    inputs = _draw_compression(cell, rng)
+    d1, d2 = inputs["space"].d1, inputs["space"].d2
+    return dict(inputs, rho1=_faithful_density(d1, rng), rho2=_faithful_density(d2, rng))
+
+
+# Whether a cell is a valid instance of a check's hypotheses.
+
+def _convex(cell: dict) -> bool:
+    return cell.get("function") is not None and cell["function"].is_convex
+
+
+def _operator_convex(cell: dict) -> bool:
+    return cell.get("function") is not None and cell["function"].is_operator_convex
+
+
+def _main_tracial_compatible(cell: dict) -> bool:
+    """The subnormalized branch also needs f(0) = 0."""
+    return _convex(cell) and (
+        cell.get("branch") != "subnormalized" or cell["function"].vanishes_at_zero
+    )
+
+
+def _petz_compatible(cell: dict) -> bool:
+    """Unital map kinds need convex f; the other kinds also need f(0) = 0."""
+    return cell.get("map_kind") is not None and _convex(cell) and (
+        cell["map_kind"] in _UNITAL_KINDS or cell["function"].vanishes_at_zero
+    )
+
+
+# ---------------------------------------------------------------------------
+# Witness codec: check argument -> (encode to witness keys, decode from them)
+# ---------------------------------------------------------------------------
+
+_MAP_ATTRS = (
+    "kind", "in_dim", "out_dim", "claimed_positive", "claimed_unital", "claimed_contractive",
+)
+
+
+def _encode_map(phi: PositiveMap) -> dict:
+    out = {attr: getattr(phi, attr) for attr in _MAP_ATTRS}
+    if phi.kraus is not None:
+        out["kraus"] = [encode_matrix(v) for v in phi.kraus]
+    else:
+        out["action"] = encode_matrix(phi.action)
+    return {"map": out}
+
+
+def _decode_map(inputs: dict) -> PositiveMap:
+    obj = inputs["map"]
+    kwargs = {attr: obj[attr] for attr in _MAP_ATTRS}
+    if "kraus" in obj:
+        kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
+    else:
+        kwargs["action"] = decode_matrix(obj["action"])
+    return PositiveMap(**kwargs)
+
+
+# Arguments not listed here are matrices stored under their own name. Every
+# witness records `tol` and `enforce_hypotheses`; witnesses written before it
+# did decode them to the defaults.
+_FIELDS: dict[str, tuple[Callable, Callable]] = {
+    "f": (lambda f: {"function": {"name": f.name, "params": list(f.params)}},
+          lambda d: get_function(d["function"]["name"], tuple(d["function"]["params"]))),
+    "phi": (_encode_map, _decode_map),
+    "space": (lambda s: {"d1": s.d1, "d2": s.d2},
+              lambda d: TensorSpace(int(d["d1"]), int(d["d2"]))),
+    "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"])),
+    "branch": (lambda b: {"branch": b}, lambda d: d["branch"]),
+    "algebra": (lambda alg: {"algebra": {"block_dims": list(alg.block_dims),
+                                         "trace_weights": list(alg.trace_weights)}},
+                lambda d: BlockAlgebra(tuple(d["algebra"]["block_dims"]),
+                                       tuple(d["algebra"]["trace_weights"]))),
+    "piece": (lambda p: {"piece": {"lo": p.lo, "hi": p.hi,
+                                   "lo_open": p.lo_open, "hi_open": p.hi_open}},
+              lambda d: Interval(**d["piece"])),
+    "tol": (lambda t: {"tol": [t.atol, t.rtol, t.eig_cluster_tol]},
+            lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL),
+    "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e},
+                           lambda d: bool(d.get("enforce_hypotheses", True))),
+}
+
+
+def _field(arg: str) -> tuple[Callable, Callable]:
+    return _FIELDS.get(arg) or (
+        lambda m: {arg: encode_matrix(m)}, lambda d: decode_matrix(d[arg])
+    )
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """Everything the campaign runner and replay know about one check.
+
+    `axes` are the campaign-config axes its cells sweep, `compatible(cell)`
+    says whether a cell satisfies its hypotheses, `draw(cell, rng)` gives the
+    keyword inputs of one random instance, and `args` names the inputs its
+    witness records besides `tol` and `enforce_hypotheses`.
+    """
+
+    name: str
+    axes: tuple[str, ...]
+    compatible: Callable[[dict], bool]
+    draw: Callable[[dict, np.random.Generator], dict]
+    args: tuple[str, ...]
+
+    def encode(self, inputs: dict) -> dict:
+        out: dict = {}
+        for arg in self.args + ("tol", "enforce_hypotheses"):
+            out.update(_field(arg)[0](inputs[arg]))
+        return out
+
+    def decode(self, obj: dict) -> dict:
+        return {arg: _field(arg)[1](obj) for arg in self.args + ("tol", "enforce_hypotheses")}
+
+    def run(self, **inputs) -> CheckReport:
+        # Through the module attribute, so wrappers installed there see it.
+        return globals()[self.name](**inputs)
+
+
+_MAP_AXES = ("dims", "functions", "map_kinds", "weights")
+
+CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
+    CheckSpec("check_cfl", ("dims", "functions"), _convex, _draw_cfl,
+              ("H", "rho", "f", "space")),
+    CheckSpec("check_main_tracial", ("dims", "functions", "weights", "branches"),
+              _main_tracial_compatible, _draw_main_tracial,
+              ("H", "a", "f", "space", "weights", "branch")),
+    CheckSpec("check_petz", _MAP_AXES, _petz_compatible, _draw_map_input,
+              ("phi", "x", "f", "algebra")),
+    CheckSpec("check_vector_jensen", ("dims", "functions", "map_kinds"),
+              _petz_compatible, _draw_vector_jensen, ("phi", "x", "f", "xi")),
+    CheckSpec("check_spectral_preorder_lemma", _MAP_AXES, _petz_compatible,
+              _draw_preorder_lemma, ("phi", "x", "f", "piece", "algebra")),
+    CheckSpec("check_pinching_chain", _MAP_AXES, _petz_compatible, _draw_map_input,
+              ("phi", "x", "f", "algebra")),
+    CheckSpec("check_partial_trace_duality", ("dims", "weights"), lambda cell: True,
+              _draw_duality, ("X", "a", "space", "weights")),
+    CheckSpec("check_state_version", ("dims", "functions"), _operator_convex,
+              _draw_state_version, ("H", "a", "f", "rho1", "rho2", "space")),
+    CheckSpec("check_hansen_pedersen", ("dims", "functions"), _operator_convex,
+              _draw_compression, ("H", "a", "f", "space")),
+)}
+
+
+def lookup_check(name: str) -> CheckSpec:
+    """The registry entry of a check; an unknown name is a usage error."""
+    if name not in CHECKS:
+        raise UsageError(f"unknown check {name!r}; valid checks: {', '.join(CHECKS)}")
+    return CHECKS[name]
+
+
 def generate_trial(
     check_name: str,
     cell: dict,
@@ -907,89 +993,13 @@ def generate_trial(
 ) -> CheckReport:
     """Draw one random instance for a check and run it.
 
-    `cell` carries the sweep axes (d1, d2, function, map_kind, w1, w2,
-    branch); `entropy` keys the RNG stream, so identical (cell, entropy)
-    always reproduces the same trial.
+    `entropy` keys the RNG stream, so identical (cell, entropy) always
+    reproduces the same trial.
     """
-    from .linalg_core import stream_token
-
-    rng = rng_stream(*entropy)
-    seed_token = stream_token(*entropy)
-    f: ScalarFunction | None = cell.get("function")
-    d1 = int(cell.get("d1", 2))
-    d2 = int(cell.get("d2", 2))
-    w1 = float(cell.get("w1", 1.0))
-    w2 = float(cell.get("w2", 1.0))
-    kind = cell.get("map_kind")
-    extra = dict(cell.get("extra_params") or {})
-
-    if check_name == "check_cfl":
-        space = TensorSpace(d1, d2)
-        h = _fit_spectrum(random_hermitian(space.total_dim, rng), f)
-        rho = random_density(d1, rng)
-        return check_cfl(h, rho, f, space, tol, seed=seed_token, extra_params=extra)
-
-    if check_name == "check_main_tracial":
-        branch = cell.get("branch", "normalized")
-        space = TensorSpace(d1, d2)
-        h = _fit_spectrum(random_hermitian(space.total_dim, rng), f)
-        if branch == "normalized":
-            a = random_l2_normalized(d1, rng, w1)
-        else:
-            a = _subnormalized_element(d1, rng, w1)
-        return check_main_tracial(
-            h, a, f, space, (w1, w2), branch, tol, seed=seed_token, extra_params=extra
-        )
-
-    if check_name in ("check_petz", "check_vector_jensen",
-                      "check_spectral_preorder_lemma", "check_pinching_chain"):
-        in_dim, out_dim = _petz_dims(kind, d1, d2)
-        phi = random_positive_map(kind, in_dim, out_dim, rng)
-        x = _fit_spectrum(random_hermitian(in_dim, rng), f)
-        algebra = BlockAlgebra.single(out_dim, w2)
-        if check_name == "check_petz":
-            return check_petz(phi, x, f, algebra, tol, seed=seed_token, extra_params=extra)
-        if check_name == "check_vector_jensen":
-            xi = random_unit_vector(out_dim, rng)
-            return check_vector_jensen(phi, x, f, xi, tol, seed=seed_token, extra_params=extra)
-        if check_name == "check_pinching_chain":
-            return check_pinching_chain(phi, x, f, algebra, tol, seed=seed_token, extra_params=extra)
-        y = symmetrize(apply_map(phi, hermitize(x)))
-        split = monotone_sign_split(
-            f, working_interval(hermitian_eig(y).eigenvalues, domain=f.domain)
-        )
-        pieces = split.nonempty_pieces()
-        slot, piece = pieces[int(rng.integers(len(pieces)))]
-        extra = dict(extra, piece_slot=slot)
-        return check_spectral_preorder_lemma(
-            phi, x, f, piece, algebra, tol, seed=seed_token, extra_params=extra
-        )
-
-    if check_name == "check_partial_trace_duality":
-        space = TensorSpace(d1, d2)
-        x = complex_gaussian(rng, space.total_dim, space.total_dim)
-        a = complex_gaussian(rng, d1, d1)
-        return check_partial_trace_duality(
-            x, a, space, (w1, w2), tol, seed=seed_token, extra_params=extra
-        )
-
-    if check_name == "check_state_version":
-        space = TensorSpace(d1, d2)
-        h = _fit_spectrum(random_hermitian(space.total_dim, rng), f)
-        a = _contraction_for(f, d1, rng)
-        rho1 = _faithful_density(d1, rng)
-        rho2 = _faithful_density(d2, rng)
-        return check_state_version(
-            h, a, f, rho1, rho2, space, tol, seed=seed_token, extra_params=extra
-        )
-
-    if check_name == "check_hansen_pedersen":
-        space = TensorSpace(d1, d2)
-        h = _fit_spectrum(random_hermitian(space.total_dim, rng), f)
-        a = _contraction_for(f, d1, rng)
-        return check_hansen_pedersen(h, a, f, space, tol, seed=seed_token, extra_params=extra)
-
-    raise ValueError(f"unknown check name {check_name!r}")
+    spec = CHECKS[check_name]
+    inputs = spec.draw(cell, rng_stream(*entropy))
+    extra = dict(cell.get("extra_params") or {}, **inputs.pop("extra_params", {}))
+    return spec.run(**inputs, tol=tol, seed=stream_token(*entropy), extra_params=extra)
 
 
 def run_trial(
@@ -1090,6 +1100,15 @@ def _expansive_map(in_dim: int, out_dim: int, rng: np.random.Generator) -> Posit
     )
 
 
+# The Petz-inequality ablations: the map of each trial, and the function.
+_PETZ_ABLATIONS = {
+    "petz_drop_f0": (lambda n, rng: random_positive_map("zero", n, n, rng),
+                     get_function("shifted_square", (1.0,))),
+    "drop_positivity": (_nonpositive_unital_map, get_function("quartic")),
+    "drop_contractive": (lambda n, rng: _expansive_map(n, n, rng), get_function("square")),
+}
+
+
 def ablation_search(
     target: str,
     trials: int,
@@ -1112,42 +1131,23 @@ def ablation_search(
     worst: CheckReport | None = None
     for i in range(trials):
         rng = rng_stream(seed, i)
-        from .linalg_core import stream_token
-
         token = stream_token(seed, i)
         n = int(dims[i % len(dims)])
         extra = {"ablation": target, "trial": i}
-        if target == "petz_drop_f0":
-            phi = random_positive_map("zero", n, n, rng)
-            x = random_hermitian(n, rng)
-            f = get_function("shifted_square", (1.0,))
-            report = check_petz(
-                phi, x, f, BlockAlgebra.single(n, 1.0), tol,
-                seed=token, extra_params=extra, enforce_hypotheses=False,
-            )
-        elif target == "state_drop_opconvex":
+        if target == "state_drop_opconvex":
             space = TensorSpace(n, n)
-            f = get_function("quartic")
             h = random_hermitian(space.total_dim, rng)
             a = random_contraction(n, rng)
             report = check_state_version(
-                h, a, f, _faithful_density(n, rng), _faithful_density(n, rng),
-                space, tol, seed=token, extra_params=extra, enforce_hypotheses=False,
-            )
-        elif target == "drop_positivity":
-            phi = _nonpositive_unital_map(n, rng)
-            x = random_hermitian(n, rng)
-            f = get_function("quartic")
-            report = check_petz(
-                phi, x, f, BlockAlgebra.single(n, 1.0), tol,
+                h, a, get_function("quartic"), _faithful_density(n, rng),
+                _faithful_density(n, rng), space, tol,
                 seed=token, extra_params=extra, enforce_hypotheses=False,
             )
-        else:  # drop_contractive
-            phi = _expansive_map(n, n, rng)
-            x = random_hermitian(n, rng)
-            f = get_function("square")
+        else:
+            make_map, f = _PETZ_ABLATIONS[target]
+            phi = make_map(n, rng)
             report = check_petz(
-                phi, x, f, BlockAlgebra.single(n, 1.0), tol,
+                phi, random_hermitian(n, rng), f, BlockAlgebra.single(n, 1.0), tol,
                 seed=token, extra_params=extra, enforce_hypotheses=False,
             )
         if report.gap < worst_gap:
@@ -1165,88 +1165,19 @@ def ablation_search(
 # Witness replay
 # ---------------------------------------------------------------------------
 
-def _witness_tol(inputs: dict) -> ToleranceConfig:
-    t = inputs.get("tol")
-    if t is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(atol=t[0], rtol=t[1], eig_cluster_tol=t[2])
-
-
 def replay_report(report: CheckReport | dict) -> CheckReport:
     """Re-run a failure witness from its serialized inputs.
 
     The checks are pure functions, so the replay reproduces lhs, rhs, and gap
-    bit-for-bit from the recorded matrices.
+    bit-for-bit from the recorded matrices. A witness that names no known
+    check or lacks an input is a usage error.
     """
     rep = report if isinstance(report, CheckReport) else CheckReport.from_dict(report)
     if not rep.witness or "inputs" not in rep.witness:
-        raise ValueError("report carries no witness inputs to replay")
-    inputs = rep.witness["inputs"]
-    tol = _witness_tol(inputs)
-    seed = rep.seed
-    name = rep.check_name
-    enforce = bool(inputs.get("enforce_hypotheses", True))
-    if name == "check_cfl":
-        return check_cfl(
-            decode_matrix(inputs["H"]), decode_matrix(inputs["rho"]),
-            _decode_function(inputs["function"]),
-            TensorSpace(int(inputs["d1"]), int(inputs["d2"])), tol, seed=seed,
-            enforce_hypotheses=enforce,
-        )
-    if name == "check_main_tracial":
-        return check_main_tracial(
-            decode_matrix(inputs["H"]), decode_matrix(inputs["a"]),
-            _decode_function(inputs["function"]),
-            TensorSpace(int(inputs["d1"]), int(inputs["d2"])),
-            (inputs["w1"], inputs["w2"]), inputs["branch"], tol, seed=seed,
-            enforce_hypotheses=enforce,
-        )
-    if name == "check_petz":
-        return check_petz(
-            _decode_map(inputs["map"]), decode_matrix(inputs["x"]),
-            _decode_function(inputs["function"]), _decode_algebra(inputs["algebra"]),
-            tol, seed=seed, enforce_hypotheses=enforce,
-        )
-    if name == "check_vector_jensen":
-        return check_vector_jensen(
-            _decode_map(inputs["map"]), decode_matrix(inputs["x"]),
-            _decode_function(inputs["function"]), decode_matrix(inputs["xi"]),
-            tol, seed=seed, enforce_hypotheses=enforce,
-        )
-    if name == "check_spectral_preorder_lemma":
-        p = inputs["piece"]
-        piece = Interval(p["lo"], p["hi"], lo_open=p["lo_open"], hi_open=p["hi_open"])
-        return check_spectral_preorder_lemma(
-            _decode_map(inputs["map"]), decode_matrix(inputs["x"]),
-            _decode_function(inputs["function"]), piece,
-            _decode_algebra(inputs["algebra"]), tol, seed=seed,
-            enforce_hypotheses=enforce,
-        )
-    if name == "check_pinching_chain":
-        return check_pinching_chain(
-            _decode_map(inputs["map"]), decode_matrix(inputs["x"]),
-            _decode_function(inputs["function"]), _decode_algebra(inputs["algebra"]),
-            tol, seed=seed, enforce_hypotheses=enforce,
-        )
-    if name == "check_partial_trace_duality":
-        return check_partial_trace_duality(
-            decode_matrix(inputs["X"]), decode_matrix(inputs["a"]),
-            TensorSpace(int(inputs["d1"]), int(inputs["d2"])),
-            (inputs["w1"], inputs["w2"]), tol, seed=seed,
-        )
-    if name == "check_state_version":
-        return check_state_version(
-            decode_matrix(inputs["H"]), decode_matrix(inputs["a"]),
-            _decode_function(inputs["function"]),
-            decode_matrix(inputs["rho1"]), decode_matrix(inputs["rho2"]),
-            TensorSpace(int(inputs["d1"]), int(inputs["d2"])), tol, seed=seed,
-            enforce_hypotheses=enforce,
-        )
-    if name == "check_hansen_pedersen":
-        return check_hansen_pedersen(
-            decode_matrix(inputs["H"]), decode_matrix(inputs["a"]),
-            _decode_function(inputs["function"]),
-            TensorSpace(int(inputs["d1"]), int(inputs["d2"])), tol, seed=seed,
-            enforce_hypotheses=enforce,
-        )
-    raise ValueError(f"cannot replay unknown check {name!r}")
+        raise UsageError("report carries no witness inputs to replay")
+    spec = lookup_check(rep.check_name)
+    try:
+        inputs = spec.decode(rep.witness["inputs"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{spec.name}: cannot decode witness inputs ({exc!r})") from exc
+    return spec.run(**inputs, seed=rep.seed)

@@ -89,6 +89,17 @@ class PositiveMap:
     def on_identity(self) -> np.ndarray:
         return apply_map(self, np.eye(self.in_dim))
 
+    def unital_contractive(self) -> tuple[bool, bool]:
+        """Numerical (unital, contractive) flags from Phi(1).
+
+        Unitality from ||Phi(1) - 1||_F; contractivity from the largest
+        eigenvalue of Phi(1), which characterizes it for positive maps.
+        """
+        one_img = self.on_identity()
+        unital = frob(one_img - np.eye(self.out_dim)) <= _UNITAL_TOL
+        lam_max = float(hermitian_eig(one_img).eigenvalues[-1])
+        return unital, lam_max <= 1.0 + _CONTRACTIVE_TOL
+
 
 def _vec(x: np.ndarray) -> np.ndarray:
     """Column-major vectorization, fixed project-wide for generic maps."""
@@ -131,19 +142,6 @@ def identity_map(dim: int) -> PositiveMap:
         kind="identity", in_dim=dim, out_dim=dim,
         kraus=(np.eye(dim, dtype=np.complex128),),
         claimed_positive=True, claimed_unital=True, claimed_contractive=True,
-    )
-
-
-def conjugation_map(a, kind: str = "conjugation") -> PositiveMap:
-    """x |-> a* x a; unital iff a is an isometry, contractive iff ||a|| <= 1."""
-    am = as_complex(a)
-    in_dim, out_dim = am.shape
-    gram = am.conj().T @ am
-    unital = frob(gram - np.eye(out_dim)) <= _UNITAL_TOL
-    contractive = float(hermitian_eig(gram).eigenvalues[-1]) <= 1.0 + _CONTRACTIVE_TOL
-    return PositiveMap(
-        kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=(am,),
-        claimed_positive=True, claimed_unital=unital, claimed_contractive=contractive,
     )
 
 
@@ -262,16 +260,10 @@ class MapFlags:
 
 
 def map_flags(phi: PositiveMap, trials: int = 16, seed: int = 0) -> MapFlags:
-    """Numerically derived flags.
-
-    Unitality from ||Phi(1) - 1||_F; contractivity from the largest
-    eigenvalue of Phi(1), which characterizes it for positive maps;
+    """Numerically derived flags: `PositiveMap.unital_contractive` plus
     positivity sampled on random rank-deficient inputs g g*.
     """
-    one_img = phi.on_identity()
-    unital = frob(one_img - np.eye(phi.out_dim)) <= _UNITAL_TOL
-    lam_max = float(hermitian_eig(one_img).eigenvalues[-1])
-    contractive = lam_max <= 1.0 + _CONTRACTIVE_TOL
+    unital, contractive = phi.unital_contractive()
     rng = rng_stream(seed)
     positive = True
     for _ in range(trials):

@@ -119,12 +119,6 @@ class BlockAlgebra:
             rest[s, s] = 0.0
         return float(np.linalg.norm(rest))
 
-    def from_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        for s, blk in zip(self.block_slices(), blocks):
-            out[s, s] = blk
-        return out
-
 
 @dataclass(frozen=True)
 class LinearFunctional:

@@ -243,3 +243,53 @@ def test_cli_replay_mismatch_exits_one(tmp_path, capsys):
     with open(tampered, "w") as fh:
         fh.write(json.dumps(rec) + "\n")
     assert cli_entry(["replay", "--witness", tampered]) == EXIT_VIOLATION
+
+
+def test_cli_check_unknown_map_kind(capsys):
+    rc = cli_entry(["check", "--name", "check_petz", "--map", "bogus", "--trials", "2"])
+    assert rc == EXIT_USAGE
+    assert "ucp_stinespring" in capsys.readouterr().err
+
+
+def test_cli_check_zero_trials():
+    assert cli_entry(["check", "--name", "check_cfl", "--trials", "0"]) == EXIT_USAGE
+
+
+def test_cli_check_branch_needing_f0(capsys):
+    rc = cli_entry(["check", "--name", "check_main_tracial", "--function", "exp",
+                    "--branch", "subnormalized", "--trials", "2"])
+    assert rc == EXIT_USAGE
+
+
+def test_cli_search_zero_trials(capsys):
+    assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def _witness_record(tmp_path, capsys) -> dict:
+    wpath = str(tmp_path / "w.jsonl")
+    assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "2",
+                      "--seed", "3", "--out", wpath]) == EXIT_OK
+    capsys.readouterr()
+    return json.loads(open(wpath).read().splitlines()[0])
+
+
+def _write(tmp_path, rec: dict) -> str:
+    path = str(tmp_path / "edited.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    return path
+
+
+def test_cli_replay_unknown_check(tmp_path, capsys):
+    rec = _witness_record(tmp_path, capsys)
+    rec["check_name"] = "check_bogus"
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "check_bogus" in capsys.readouterr().err
+
+
+def test_cli_replay_missing_input(tmp_path, capsys):
+    rec = _witness_record(tmp_path, capsys)
+    del rec["witness"]["inputs"]["map"]
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "map" in capsys.readouterr().err

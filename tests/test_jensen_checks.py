@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opjensen.convex_catalog import get_function
-from opjensen.errors import HypothesisError
+from opjensen.errors import HypothesisError, UsageError
 from opjensen.jensen_checks import (
     ablation_search,
     check_cfl,
@@ -24,6 +24,7 @@ from opjensen.jensen_checks import (
     working_interval,
 )
 from opjensen.linalg_core import (
+    ToleranceConfig,
     complex_gaussian,
     frob,
     hermitian_eig,
@@ -645,3 +646,41 @@ def test_replay_roundtrip_via_checkreport_json():
     rt = CheckReport.from_json_line(res.witness.to_json_line())
     replayed = replay_report(rt)
     assert replayed.gap == res.witness.gap
+
+
+def _ablated_cfl_and_main_tracial():
+    rng = rng_stream(11, 5)
+    cfl = check_cfl(random_hermitian(4, rng), 2.0 * random_density(2, rng),
+                    get_function("square"), SPACE22, enforce_hypotheses=False)
+    rng = rng_stream(12, 0)
+    h = random_hermitian(4, rng)
+    g = complex_gaussian(rng, 2, 2)
+    main = check_main_tracial(h, 0.5 * g / np.linalg.norm(g), get_function("exp"), SPACE22,
+                              (1.0, 1.0), "subnormalized", enforce_hypotheses=False)
+    return cfl, main
+
+
+def test_hypothesis_ablated_witnesses_replay():
+    # rho with trace 2 for cfl, exp (f(0) = 1) on the subnormalized branch
+    for rep in _ablated_cfl_and_main_tracial():
+        assert not rep.passed
+        assert rep.witness["inputs"]["enforce_hypotheses"] is False
+        replayed = replay_report(json.loads(rep.to_json_line()))
+        assert (replayed.lhs, replayed.rhs, replayed.gap) == (rep.lhs, rep.rhs, rep.gap)
+
+
+def test_every_witness_records_tol_and_enforce_flag():
+    dual_fail = run_trial("check_partial_trace_duality", {"d1": 2, "d2": 2}, 7, 1,
+                          ToleranceConfig(0.0, 0.0, 1e-10))
+    for rep in (*_ablated_cfl_and_main_tracial(), dual_fail):
+        inputs = rep.witness["inputs"]
+        assert "enforce_hypotheses" in inputs and "tol" in inputs
+
+
+def test_replay_rejects_unknown_check_and_missing_inputs():
+    rec = json.loads(ablation_search("petz_drop_f0", 1, [2], 9).witness.to_json_line())
+    with pytest.raises(UsageError):
+        replay_report(dict(rec, check_name="check_bogus"))
+    del rec["witness"]["inputs"]["x"]
+    with pytest.raises(UsageError):
+        replay_report(rec)
