@@ -357,7 +357,10 @@ def _cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     seed = _env_seed(args.seed)
-    tol = ToleranceConfig(atol=args.tol, rtol=args.tol)
+    try:
+        tol = ToleranceConfig(atol=args.tol, rtol=args.tol)
+    except ValueError as exc:
+        raise UsageError(f"--tol: {exc}") from exc
     # The flags are one value per campaign axis, validated like a config.
     config = CampaignConfig(
         checks=[args.name], trials=args.trials, dims=[(args.d1, args.d2)],

@@ -24,15 +24,18 @@ failure witness replays bit-exactly. The inequalities verified:
     f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
 `CHECKS` registers each check once: its campaign axes, cell compatibility,
-seeded instance generator, and witness codec. Campaign expansion, trial
-generation, and replay all go through it.
+and seeded instance generator. Campaign expansion, trial generation, and
+replay all go through it. A failure witness is the check's arguments, written
+by one codec shared by all checks.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -128,9 +131,9 @@ def _report(
 ) -> CheckReport:
     """A check's report; a failing one carries its encoded inputs as witness.
 
-    `inputs` holds the check's arguments as the check used them (hermitized,
-    snapped, ...), `tol` and `enforce_hypotheses` included, so that
-    `replay_report` repeats exactly this call.
+    `inputs` holds every argument of the check except `seed` and
+    `extra_params`, as the check used them (hermitized, snapped, ...), so
+    that `replay_report` repeats exactly this call.
     """
     witness = None if passed else {"inputs": CHECKS[name].encode(inputs)}
     return CheckReport(
@@ -181,17 +184,13 @@ def working_interval(
     lo -= pad
     hi += pad
     if domain is not None:
-        lo, hi = _clamp_to_domain(lo, hi, domain)
+        if math.isfinite(domain.lo):
+            inset = 1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0
+            lo = max(lo, domain.lo + inset)
+        if math.isfinite(domain.hi):
+            inset = 1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0
+            hi = min(hi, domain.hi - inset)
     return Interval.closed(lo, hi)
-
-
-def _clamp_to_domain(lo: float, hi: float, domain: Interval) -> tuple[float, float]:
-    """Clamp [lo, hi] into a domain, staying 1e-9 (relative) inside open ends."""
-    if math.isfinite(domain.lo):
-        lo = max(lo, domain.lo + (1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0))
-    if math.isfinite(domain.hi):
-        hi = min(hi, domain.hi - (1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0))
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,12 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
     part outside cannot carry spectrum); an empty overlap counts as
     nonnegative, matching a zero projection.
     """
-    lo, hi = _clamp_to_domain(piece.lo, piece.hi, f.domain)
+    lo, hi = piece.lo, piece.hi
+    dom = f.domain
+    if math.isfinite(dom.lo):
+        lo = max(lo, dom.lo + (1e-9 * max(1.0, abs(dom.lo)) if dom.lo_open else 0.0))
+    if math.isfinite(dom.hi):
+        hi = min(hi, dom.hi - (1e-9 * max(1.0, abs(dom.hi)) if dom.hi_open else 0.0))
     if lo > hi:
         return 1
     ts = np.linspace(lo, hi, 33)
@@ -386,12 +390,6 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
     raise HypothesisError(f"function changes sign on piece {piece}")
 
 
-def _cluster_tol(eigenvalues: np.ndarray, tol: ToleranceConfig) -> float:
-    """The eigenvalue-cluster tolerance, relative to the spectrum's scale."""
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0)
-    return tol.eig_cluster_tol * scale
-
-
 def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) -> Interval:
     """Perturb a spectral-window piece so its endpoints avoid the spectrum.
 
@@ -400,7 +398,8 @@ def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) 
     the shift is a handful of cluster tolerances, far below any scale the
     sign and pre-order assertions can resolve.
     """
-    ctol = _cluster_tol(eigenvalues, tol)
+    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0)
+    ctol = tol.eig_cluster_tol * scale
     lo = snap_away_from_spectrum(piece.lo, eigenvalues, ctol)
     hi = snap_away_from_spectrum(piece.hi, eigenvalues, ctol)
     if lo > hi:
@@ -420,7 +419,8 @@ def _snapped_projections(
     spectrum touches the window ends.
     """
     w = dec_y.eigenvalues
-    ctol = _cluster_tol(w, tol)
+    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
+    ctol = tol.eig_cluster_tol * scale
     pieces = [p for _, p in split.nonempty_pieces()]
     interior = [p.hi for p in pieces[:-1]]
     snapped = [-math.inf]
@@ -768,23 +768,18 @@ def _weights(cell: dict) -> tuple[float, float]:
     return float(cell.get("w1", 1.0)), float(cell.get("w2", 1.0))
 
 
-def _fitted_hermitian(f: ScalarFunction, dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _fit_spectrum(random_hermitian(dim, rng), f)
-
-
 def _draw_cfl(cell: dict, rng: np.random.Generator) -> dict:
     f, space = cell["function"], _space(cell)
-    return dict(H=_fitted_hermitian(f, space.total_dim, rng),
+    return dict(H=_fit_spectrum(random_hermitian(space.total_dim, rng), f),
                 rho=random_density(space.d1, rng), f=f, space=space)
 
 
 def _draw_main_tracial(cell: dict, rng: np.random.Generator) -> dict:
     f, space, (w1, w2) = cell["function"], _space(cell), _weights(cell)
     branch = cell.get("branch", "normalized")
-    h = _fitted_hermitian(f, space.total_dim, rng)
     draw_a = random_l2_normalized if branch == "normalized" else _subnormalized_element
-    return dict(H=h, a=draw_a(space.d1, rng, w1), f=f, space=space, weights=(w1, w2),
-                branch=branch)
+    return dict(H=_fit_spectrum(random_hermitian(space.total_dim, rng), f),
+                a=draw_a(space.d1, rng, w1), f=f, space=space, weights=(w1, w2), branch=branch)
 
 
 def _draw_map_input(cell: dict, rng: np.random.Generator) -> dict:
@@ -793,7 +788,7 @@ def _draw_map_input(cell: dict, rng: np.random.Generator) -> dict:
     f, space, kind = cell["function"], _space(cell), cell["map_kind"]
     out_dim = space.d1 if kind in ("transpose", "pinching") else space.d2
     return dict(phi=random_positive_map(kind, space.d1, out_dim, rng),
-                x=_fitted_hermitian(f, space.d1, rng), f=f,
+                x=_fit_spectrum(random_hermitian(space.d1, rng), f), f=f,
                 algebra=BlockAlgebra.single(out_dim, _weights(cell)[1]))
 
 
@@ -826,7 +821,7 @@ def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
 def _draw_compression(cell: dict, rng: np.random.Generator) -> dict:
     """H with spectrum in f's domain and a contraction a suited to f."""
     f, space = cell["function"], _space(cell)
-    return dict(H=_fitted_hermitian(f, space.total_dim, rng),
+    return dict(H=_fit_spectrum(random_hermitian(space.total_dim, rng), f),
                 a=_contraction_for(f, space.d1, rng), f=f, space=space)
 
 
@@ -928,25 +923,29 @@ class CheckSpec:
     """Everything the campaign runner and replay know about one check.
 
     `axes` are the campaign-config axes its cells sweep, `compatible(cell)`
-    says whether a cell satisfies its hypotheses, `draw(cell, rng)` gives the
-    keyword inputs of one random instance, and `args` names the inputs its
-    witness records besides `tol` and `enforce_hypotheses`.
+    says whether a cell satisfies its hypotheses, and `draw(cell, rng)` gives
+    the keyword inputs of one random instance. A witness records every
+    argument of the check except `seed` and `extra_params`.
     """
 
     name: str
     axes: tuple[str, ...]
     compatible: Callable[[dict], bool]
     draw: Callable[[dict, np.random.Generator], dict]
-    args: tuple[str, ...]
+
+    @functools.cached_property
+    def args(self) -> tuple[str, ...]:
+        params = inspect.signature(globals()[self.name]).parameters
+        return tuple(arg for arg in params if arg not in ("seed", "extra_params"))
 
     def encode(self, inputs: dict) -> dict:
         out: dict = {}
-        for arg in self.args + ("tol", "enforce_hypotheses"):
+        for arg in self.args:
             out.update(_field(arg)[0](inputs[arg]))
         return out
 
     def decode(self, obj: dict) -> dict:
-        return {arg: _field(arg)[1](obj) for arg in self.args + ("tol", "enforce_hypotheses")}
+        return {arg: _field(arg)[1](obj) for arg in self.args}
 
     def run(self, **inputs) -> CheckReport:
         # Through the module attribute, so wrappers installed there see it.
@@ -956,25 +955,21 @@ class CheckSpec:
 _MAP_AXES = ("dims", "functions", "map_kinds", "weights")
 
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("check_cfl", ("dims", "functions"), _convex, _draw_cfl,
-              ("H", "rho", "f", "space")),
+    CheckSpec("check_cfl", ("dims", "functions"), _convex, _draw_cfl),
     CheckSpec("check_main_tracial", ("dims", "functions", "weights", "branches"),
-              _main_tracial_compatible, _draw_main_tracial,
-              ("H", "a", "f", "space", "weights", "branch")),
-    CheckSpec("check_petz", _MAP_AXES, _petz_compatible, _draw_map_input,
-              ("phi", "x", "f", "algebra")),
+              _main_tracial_compatible, _draw_main_tracial),
+    CheckSpec("check_petz", _MAP_AXES, _petz_compatible, _draw_map_input),
     CheckSpec("check_vector_jensen", ("dims", "functions", "map_kinds"),
-              _petz_compatible, _draw_vector_jensen, ("phi", "x", "f", "xi")),
+              _petz_compatible, _draw_vector_jensen),
     CheckSpec("check_spectral_preorder_lemma", _MAP_AXES, _petz_compatible,
-              _draw_preorder_lemma, ("phi", "x", "f", "piece", "algebra")),
-    CheckSpec("check_pinching_chain", _MAP_AXES, _petz_compatible, _draw_map_input,
-              ("phi", "x", "f", "algebra")),
+              _draw_preorder_lemma),
+    CheckSpec("check_pinching_chain", _MAP_AXES, _petz_compatible, _draw_map_input),
     CheckSpec("check_partial_trace_duality", ("dims", "weights"), lambda cell: True,
-              _draw_duality, ("X", "a", "space", "weights")),
+              _draw_duality),
     CheckSpec("check_state_version", ("dims", "functions"), _operator_convex,
-              _draw_state_version, ("H", "a", "f", "rho1", "rho2", "space")),
+              _draw_state_version),
     CheckSpec("check_hansen_pedersen", ("dims", "functions"), _operator_convex,
-              _draw_compression, ("H", "a", "f", "space")),
+              _draw_compression),
 )}
 
 
@@ -1169,15 +1164,17 @@ def replay_report(report: CheckReport | dict) -> CheckReport:
     """Re-run a failure witness from its serialized inputs.
 
     The checks are pure functions, so the replay reproduces lhs, rhs, and gap
-    bit-for-bit from the recorded matrices. A witness that names no known
-    check or lacks an input is a usage error.
+    bit-for-bit from the recorded matrices. A report that names no known
+    check, or lacks a field or input, is a usage error.
     """
-    rep = report if isinstance(report, CheckReport) else CheckReport.from_dict(report)
-    if not rep.witness or "inputs" not in rep.witness:
-        raise UsageError("report carries no witness inputs to replay")
-    spec = lookup_check(rep.check_name)
     try:
+        rep = report if isinstance(report, CheckReport) else CheckReport.from_dict(report)
+        if not rep.witness or "inputs" not in rep.witness:
+            raise UsageError("report carries no witness inputs to replay")
+        spec = lookup_check(rep.check_name)
         inputs = spec.decode(rep.witness["inputs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{spec.name}: cannot decode witness inputs ({exc!r})") from exc
+    except UsageError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot decode the witness report ({exc!r})") from exc
     return spec.run(**inputs, seed=rep.seed)

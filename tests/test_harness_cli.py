@@ -251,8 +251,9 @@ def test_cli_check_unknown_map_kind(capsys):
     assert "ucp_stinespring" in capsys.readouterr().err
 
 
-def test_cli_check_zero_trials():
+def test_cli_check_rejects_bad_numbers():
     assert cli_entry(["check", "--name", "check_cfl", "--trials", "0"]) == EXIT_USAGE
+    assert cli_entry(["check", "--name", "check_cfl", "--tol", "-1"]) == EXIT_USAGE
 
 
 def test_cli_check_branch_needing_f0(capsys):

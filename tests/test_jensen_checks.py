@@ -24,7 +24,6 @@ from opjensen.jensen_checks import (
     working_interval,
 )
 from opjensen.linalg_core import (
-    ToleranceConfig,
     complex_gaussian,
     frob,
     hermitian_eig,
@@ -648,7 +647,8 @@ def test_replay_roundtrip_via_checkreport_json():
     assert replayed.gap == res.witness.gap
 
 
-def _ablated_cfl_and_main_tracial():
+def test_hypothesis_ablated_witnesses_replay():
+    # rho with trace 2 for cfl, exp (f(0) = 1) on the subnormalized branch
     rng = rng_stream(11, 5)
     cfl = check_cfl(random_hermitian(4, rng), 2.0 * random_density(2, rng),
                     get_function("square"), SPACE22, enforce_hypotheses=False)
@@ -657,30 +657,21 @@ def _ablated_cfl_and_main_tracial():
     g = complex_gaussian(rng, 2, 2)
     main = check_main_tracial(h, 0.5 * g / np.linalg.norm(g), get_function("exp"), SPACE22,
                               (1.0, 1.0), "subnormalized", enforce_hypotheses=False)
-    return cfl, main
-
-
-def test_hypothesis_ablated_witnesses_replay():
-    # rho with trace 2 for cfl, exp (f(0) = 1) on the subnormalized branch
-    for rep in _ablated_cfl_and_main_tracial():
+    for rep in (cfl, main):
         assert not rep.passed
         assert rep.witness["inputs"]["enforce_hypotheses"] is False
         replayed = replay_report(json.loads(rep.to_json_line()))
         assert (replayed.lhs, replayed.rhs, replayed.gap) == (rep.lhs, rep.rhs, rep.gap)
 
 
-def test_every_witness_records_tol_and_enforce_flag():
-    dual_fail = run_trial("check_partial_trace_duality", {"d1": 2, "d2": 2}, 7, 1,
-                          ToleranceConfig(0.0, 0.0, 1e-10))
-    for rep in (*_ablated_cfl_and_main_tracial(), dual_fail):
-        inputs = rep.witness["inputs"]
-        assert "enforce_hypotheses" in inputs and "tol" in inputs
-
-
-def test_replay_rejects_unknown_check_and_missing_inputs():
+def test_replay_rejects_malformed_reports():
     rec = json.loads(ablation_search("petz_drop_f0", 1, [2], 9).witness.to_json_line())
     with pytest.raises(UsageError):
         replay_report(dict(rec, check_name="check_bogus"))
+    with pytest.raises(UsageError):
+        replay_report({k: v for k, v in rec.items() if k != "seed"})
+    with pytest.raises(UsageError):
+        replay_report(dict(rec, witness={"inputs": dict(rec["witness"]["inputs"], x=[[1.0]])}))
     del rec["witness"]["inputs"]["x"]
     with pytest.raises(UsageError):
         replay_report(rec)
