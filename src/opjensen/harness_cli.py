@@ -157,9 +157,13 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
     cells = []
     for (d1, d2), f, kind, (w1, w2), branch in itertools.product(
             dims, functions, kinds, weights, branches):
-        cell = {"d1": d1, "d2": d2, "w1": w1, "w2": w2,
-                "function": f, "map_kind": kind, "branch": branch}
-        cell = {k: v for k, v in cell.items() if v is not None}
+        cell = {"d1": d1, "d2": d2, "w1": w1, "w2": w2}
+        if f is not None:
+            cell["function"] = f
+        if kind is not None:
+            cell["map_kind"] = kind
+        if branch is not None:
+            cell["branch"] = branch
         if spec.compatible(cell):
             cells.append(cell)
     if not cells:
