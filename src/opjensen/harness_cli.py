@@ -71,8 +71,12 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CampaignConfig":
+        if not isinstance(obj, dict):
+            raise UsageError("malformed campaign config: the top level must be a JSON object")
         try:
             tol_obj = obj.get("tolerances", {})
+            if not isinstance(tol_obj, dict):
+                raise TypeError("'tolerances' must be a JSON object")
             return cls(
                 checks=list(obj["checks"]),
                 trials=int(obj.get("trials", 100)),

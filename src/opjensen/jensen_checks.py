@@ -50,6 +50,7 @@ from .errors import (
 from .intervals import Interval
 from .linalg_core import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     ToleranceConfig,
     as_complex,
     complex_gaussian,
@@ -63,10 +64,9 @@ from .linalg_core import (
     random_density,
     random_hermitian,
     random_l2_normalized,
+    random_stream,
     random_unit_vector,
     random_unitary,
-    rng_stream,
-    stream_token,
     symmetrize,
 )
 from .positive_maps import (
@@ -131,8 +131,8 @@ def _report(
 ) -> CheckReport:
     """A check's report; a failing one carries its encoded inputs as witness.
 
-    `inputs` holds every argument of the check except `seed` and
-    `extra_params`, as the check used them (hermitized, snapped, ...), so
+    `inputs` holds every argument of the check except those in
+    `_UNRECORDED`, as the check used them (hermitized, snapped, ...), so
     that `replay_report` repeats exactly this call.
     """
     witness = None if passed else {"inputs": CHECKS[name].encode(inputs)}
@@ -447,6 +447,7 @@ def check_spectral_preorder_lemma(
     seed: int = 0,
     extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
+    phi_x_decomp: SpectralDecomposition | None = None,
 ) -> CheckReport:
     """Compressed pre-order comparison on one monotone piece.
 
@@ -454,11 +455,15 @@ def check_spectral_preorder_lemma(
     there, p Phi(f(x)) p must be positive semidefinite and dominate
     p f(Phi(x)) p in the spectral pre-order; when f <= 0, the negative
     Jordan part of p Phi(f(x)) p must be dominated by -p f(Phi(x)) p.
+
+    `phi_x_decomp`, when given, must be the decomposition of Phi(x) as
+    computed here (the trial generator has it already); it skips that
+    eigensolve.
     """
     xm = hermitize(x)
     branch = _petz_branch(phi, f, enforce_hypotheses)
     y = symmetrize(apply_map(phi, xm))
-    dec_y = hermitian_eig(y)
+    dec_y = phi_x_decomp if phi_x_decomp is not None else hermitian_eig(y)
     piece = _snap_piece(piece, dec_y.eigenvalues, tol)
     sign = _piece_sign(f, piece, tol)
     p = spectral_projection(y, piece, tol, decomp=dec_y)
@@ -469,11 +474,12 @@ def check_spectral_preorder_lemma(
     failed: list[str] = []
     detail: dict = {}
     if sign >= 0:
-        lam_min = float(hermitian_eig(b_side).eigenvalues[0])
+        dec_b = hermitian_eig(b_side)
+        lam_min = float(dec_b.eigenvalues[0])
         if lam_min < -tol.bound(opnorm(b_side)):
             failed.append("compressed_positivity")
             detail["min_eigenvalue"] = lam_min
-        bad = preorder_violation(a_side, b_side, algebra, tol)
+        bad = preorder_violation(a_side, b_side, algebra, tol, b_decomp=dec_b)
         if bad is not None:
             failed.append("preorder_nonnegative_piece")
             detail["preorder"] = bad
@@ -803,12 +809,11 @@ def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
     inputs = _draw_map_input(cell, rng)
     f = inputs["f"]
     y = symmetrize(apply_map(inputs["phi"], hermitize(inputs["x"])))
-    split = monotone_sign_split(
-        f, working_interval(hermitian_eig(y).eigenvalues, domain=f.domain)
-    )
+    dec_y = hermitian_eig(y)
+    split = monotone_sign_split(f, working_interval(dec_y.eigenvalues, domain=f.domain))
     pieces = split.nonempty_pieces()
     slot, piece = pieces[int(rng.integers(len(pieces)))]
-    return dict(inputs, piece=piece, extra_params={"piece_slot": slot})
+    return dict(inputs, piece=piece, phi_x_decomp=dec_y, extra_params={"piece_slot": slot})
 
 
 def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
@@ -918,6 +923,11 @@ def _field(arg: str) -> tuple[Callable, Callable]:
 # The check registry
 # ---------------------------------------------------------------------------
 
+# Check arguments a witness leaves out: the report has its own seed and
+# params, and a replay recomputes a decomposition passed in to save work.
+_UNRECORDED = ("seed", "extra_params", "phi_x_decomp")
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """Everything the campaign runner and replay know about one check.
@@ -925,7 +935,7 @@ class CheckSpec:
     `axes` are the campaign-config axes its cells sweep, `compatible(cell)`
     says whether a cell satisfies its hypotheses, and `draw(cell, rng)` gives
     the keyword inputs of one random instance. A witness records every
-    argument of the check except `seed` and `extra_params`.
+    argument of the check except those in `_UNRECORDED`.
     """
 
     name: str
@@ -936,7 +946,7 @@ class CheckSpec:
     @functools.cached_property
     def args(self) -> tuple[str, ...]:
         params = inspect.signature(globals()[self.name]).parameters
-        return tuple(arg for arg in params if arg not in ("seed", "extra_params"))
+        return tuple(arg for arg in params if arg not in _UNRECORDED)
 
     def encode(self, inputs: dict) -> dict:
         out: dict = {}
@@ -992,9 +1002,10 @@ def generate_trial(
     reproduces the same trial.
     """
     spec = CHECKS[check_name]
-    inputs = spec.draw(cell, rng_stream(*entropy))
+    rng, token = random_stream(*entropy)
+    inputs = spec.draw(cell, rng)
     extra = dict(cell.get("extra_params") or {}, **inputs.pop("extra_params", {}))
-    return spec.run(**inputs, tol=tol, seed=stream_token(*entropy), extra_params=extra)
+    return spec.run(**inputs, tol=tol, seed=token, extra_params=extra)
 
 
 def run_trial(
@@ -1125,8 +1136,7 @@ def ablation_search(
     worst_gap = math.inf
     worst: CheckReport | None = None
     for i in range(trials):
-        rng = rng_stream(seed, i)
-        token = stream_token(seed, i)
+        rng, token = random_stream(seed, i)
         n = int(dims[i % len(dims)])
         extra = {"ablation": target, "trial": i}
         if target == "state_drop_opconvex":

@@ -38,8 +38,9 @@ class ToleranceConfig:
     eig_cluster_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.atol < 0 or self.rtol < 0 or self.eig_cluster_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for value in (self.atol, self.rtol, self.eig_cluster_tol):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerances must be finite and nonnegative, got {value!r}")
 
     def bound(self, *values: float) -> float:
         """One-sided pass margin: atol + rtol * max(1, |values|...)."""
@@ -70,7 +71,7 @@ class SpectralDecomposition:
 
 def as_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise NumericError("matrix contains non-finite entries")
     return a
 
@@ -82,7 +83,15 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm by numpy's own formula, without the dispatch of
+    `np.linalg.norm`; bitwise equal to it for float64, complex128 and
+    integer input."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 def hermitize(m, reject_at: float = _HERMITIZE_REJECT) -> np.ndarray:
@@ -94,7 +103,8 @@ def hermitize(m, reject_at: float = _HERMITIZE_REJECT) -> np.ndarray:
     a = require_square(as_complex(m))
     h = 0.5 * (a + a.conj().T)
     correction = frob(a - h)
-    if correction > reject_at * max(frob(a), 1e-300):
+    # an exactly self-adjoint m, the usual case, needs no norm to compare with
+    if correction and correction > reject_at * max(frob(a), 1e-300):
         raise NonHermitianError(
             f"matrix is not self-adjoint: ||M - M*||_F/2 = {correction:.3e} "
             f"exceeds {reject_at:.1e} * ||M||_F"
@@ -110,8 +120,9 @@ def symmetrize(m) -> np.ndarray:
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    off = a.copy()
+    np.fill_diagonal(off, 0)
+    return frob(off)
 
 
 def _round_robin_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -214,7 +225,7 @@ def hermitian_eig(m) -> SpectralDecomposition:
     1e-8 * ||m||_F is rejected as misuse. Deterministic for identical input.
     """
     h = hermitize(m)
-    w, v = _jacobi(h.copy())
+    w, v = _jacobi(h)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -230,9 +241,7 @@ def matrix_function(
     precomputed decomposition skips the eigensolve.
     """
     dec = decomp if decomp is not None else hermitian_eig(m)
-    vals = np.empty(dec.dim, dtype=np.float64)
-    for i, t in enumerate(dec.eigenvalues):
-        vals[i] = f(_fit_to_domain(float(t), f))
+    vals = [f(_fit_to_domain(t, f)) for t in dec.eigenvalues.tolist()]
     u = dec.eigenvectors
     out = (u * vals) @ u.conj().T
     return 0.5 * (out + out.conj().T)
@@ -252,14 +261,20 @@ def _fit_to_domain(t: float, f: "ScalarFunction") -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow (outer) index."""
-    return np.kron(as_complex(a), as_complex(b))
+    """Kronecker product of two matrices with the first factor as the slow
+    (outer) index; the products `np.kron` forms, without its dispatch."""
+    a, b = as_complex(a), as_complex(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def opnorm(m) -> float:
-    """Largest singular value."""
+    """Largest singular value of a matrix (what `np.linalg.norm(m, 2)`
+    computes, without its dispatch)."""
     a = as_complex(m)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    return float(np.linalg.svd(a, compute_uv=False).max()) if a.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +304,12 @@ def stream_token(*entropy: int) -> int:
     """Deterministic 64-bit label for the stream keyed by `entropy`."""
     ss = np.random.SeedSequence([int(e) for e in entropy])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def random_stream(*entropy: int) -> tuple[np.random.Generator, int]:
+    """`(rng_stream(*entropy), stream_token(*entropy))`, from one SeedSequence."""
+    ss = np.random.SeedSequence([int(e) for e in entropy])
+    return np.random.default_rng(ss), int(ss.generate_state(1, np.uint64)[0])
 
 
 def _check_dim(dim: int) -> int:

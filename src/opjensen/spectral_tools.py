@@ -231,7 +231,13 @@ def singular_value_function(x, algebra: BlockAlgebra) -> StepFunction:
 # Spectral pre-order
 # ---------------------------------------------------------------------------
 
-def _block_spectra(x, algebra: BlockAlgebra) -> list[np.ndarray]:
+def _block_spectra(
+    x, algebra: BlockAlgebra, decomp: SpectralDecomposition | None = None
+) -> list[np.ndarray]:
+    """Eigenvalues of each block of x. A decomposition of the whole of x is
+    that of its one block when the algebra has a single block."""
+    if decomp is not None and algebra.n_blocks == 1:
+        return [decomp.eigenvalues]
     return [hermitian_eig(blk).eigenvalues for blk in algebra.blocks(x)]
 
 
@@ -256,16 +262,19 @@ def preorder_violation(
     b,
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
+    b_decomp: SpectralDecomposition | None = None,
 ) -> dict | None:
     """First witness of a failure of the spectral pre-order a <~ b, or None.
 
     a <~ b holds when, for every level s and every block k, the number of
     eigenvalues of a_k above s does not exceed the number for b_k; in a
     direct sum of matrix factors, Murray-von Neumann subequivalence of the
-    spectral projections is exactly this blockwise rank inequality.
+    spectral projections is exactly this blockwise rank inequality. A
+    precomputed decomposition of b skips its eigensolve on a one-block
+    algebra.
     """
     spec_a = _block_spectra(a, algebra)
-    spec_b = _block_spectra(b, algebra)
+    spec_b = _block_spectra(b, algebra, b_decomp)
     all_vals = np.concatenate(spec_a + spec_b)
     scale = max(1.0, float(np.max(np.abs(all_vals))) if len(all_vals) else 0.0)
     ctol = tol.eig_cluster_tol * scale

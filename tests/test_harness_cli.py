@@ -254,6 +254,38 @@ def test_cli_check_unknown_map_kind(capsys):
 def test_cli_check_rejects_bad_numbers():
     assert cli_entry(["check", "--name", "check_cfl", "--trials", "0"]) == EXIT_USAGE
     assert cli_entry(["check", "--name", "check_cfl", "--tol", "-1"]) == EXIT_USAGE
+    # a NaN tolerance failed every trial, an infinite one passed every trial
+    for bad in ("nan", "inf"):
+        assert cli_entry(["check", "--name", "check_cfl", "--function", "square",
+                          "--seed", "7", "--trials", "3", "--tol", bad]) == EXIT_USAGE
+
+
+def _campaign_with(tmp_path, cfg) -> int:
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    return cli_entry(["campaign", "--config", cfg_path, "--jobs", "1"])
+
+
+def test_cli_campaign_non_finite_tolerance(tmp_path):
+    out = str(tmp_path / "out.jsonl")
+    cfg = {"checks": ["check_cfl"], "trials": 2, "out_path": out,
+           "tolerances": {"atol": float("nan")}}
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(out)
+
+
+def test_cli_campaign_config_not_an_object(tmp_path):
+    with pytest.raises(UsageError):
+        CampaignConfig.from_dict([{"checks": ["check_cfl"]}])
+    assert _campaign_with(tmp_path, [{"checks": ["check_cfl"]}]) == EXIT_USAGE
+
+
+def test_cli_campaign_tolerances_not_an_object(tmp_path):
+    cfg = {"checks": ["check_cfl"], "trials": 2, "tolerances": [1e-9, 1e-9, 1e-10]}
+    with pytest.raises(UsageError):
+        CampaignConfig.from_dict(cfg)
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
 
 
 def test_cli_check_branch_needing_f0(capsys):

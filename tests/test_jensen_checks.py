@@ -8,6 +8,7 @@ import pytest
 from opjensen.convex_catalog import get_function
 from opjensen.errors import HypothesisError, UsageError
 from opjensen.jensen_checks import (
+    CHECKS,
     ablation_search,
     check_cfl,
     check_hansen_pedersen,
@@ -335,6 +336,25 @@ def test_preorder_lemma_negative_piece():
         if rep.params["piece_sign"] < 0:
             seen_negative += 1
     assert seen_negative > 0
+
+
+@pytest.mark.parametrize("kind,f", [
+    ("ucp_stinespring", get_function("shifted_square", (-1.0,))),
+    ("transpose", get_function("shifted_square", (-1.0,))),
+    ("pinching", get_function("abs")),
+    ("zero", get_function("hinge", (0.0,))),
+])
+def test_preorder_lemma_trial_equals_a_fresh_check(kind, f):
+    # a trial hands the check the draw's decomposition of Phi(x); the report
+    # must be the one the check gives when it decomposes Phi(x) itself
+    cell = {"d1": 3, "d2": 3, "function": f, "map_kind": kind}
+    for s in range(6):
+        rep = generate_trial("check_spectral_preorder_lemma", cell, (81, s))
+        inputs = CHECKS["check_spectral_preorder_lemma"].draw(cell, rng_stream(81, s))
+        del inputs["phi_x_decomp"]
+        extra = inputs.pop("extra_params")
+        fresh = check_spectral_preorder_lemma(**inputs, seed=rep.seed, extra_params=extra)
+        assert fresh.to_json_line() == rep.to_json_line()
 
 
 def test_preorder_lemma_sign_change_rejected():

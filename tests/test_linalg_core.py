@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from opjensen.convex_catalog import ScalarFunction, get_function
-from opjensen.errors import DimensionError, DomainError, NonHermitianError
+from opjensen.errors import DimensionError, DomainError, NonHermitianError, NumericError
 from opjensen.intervals import Interval, REAL_LINE
 from opjensen.linalg_core import (
+    as_complex,
+    complex_gaussian,
     frob,
     hermitian_eig,
     kron,
     matrix_function,
+    opnorm,
     random_hermitian,
     random_instance,
+    random_stream,
     random_unitary,
     rng_stream,
+    stream_token,
 )
 
 
@@ -162,9 +167,71 @@ def test_matrix_function_domain_error_names_eigenvalue():
 
 
 def test_matrix_function_clamps_closed_endpoint_dust():
-    # PSD up to float dust: -1e-14 sits on the closed endpoint of [0, inf)
-    out = matrix_function(np.diag([-1e-14, 1.0]), get_function("power", (1.5,)))
-    assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
+    # PSD up to float dust: the dust sits on the closed endpoint of [0, inf)
+    for dust in (-1e-14, -1e-13):
+        out = matrix_function(np.diag([dust, 1.0]), get_function("power", (1.5,)))
+        assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
+
+
+def test_matrix_function_rejects_beyond_endpoint_dust():
+    with pytest.raises(DomainError):
+        matrix_function(np.diag([-1e-6, 1.0]), get_function("power", (1.5,)))
+
+
+_G = complex_gaussian(rng_stream(5), 6, 6)
+
+
+@pytest.mark.parametrize("m", [
+    _G,
+    np.asfortranarray(_G),
+    _G[::2, 1::2],
+    _G.conj().T,
+    _G.real.copy(),
+    np.asfortranarray(_G.real),
+    _G.real[1:, ::3],
+    np.arange(-6, 6).reshape(3, 4),
+    np.zeros((0, 0)),
+], ids=["c-order", "fortran", "strided", "transposed", "real", "real-fortran",
+        "real-strided", "integer", "empty"])
+def test_frob_bitwise_equal_to_numpy_norm(m):
+    assert frob(m) == float(np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("a,b", [
+    (_G[:2, :3], _G[2:, 3:]),
+    (-_G[:3, :1], np.eye(2)),
+    (np.eye(3), _G.T[:2, :2]),
+    (np.arange(4.0).reshape(2, 2), -np.ones((1, 3))),
+])
+def test_kron_and_opnorm_bitwise_equal_to_numpy(a, b):
+    k = kron(a, b)
+    ref = np.kron(a.astype(complex), b.astype(complex))
+    assert k.shape == ref.shape and k.tobytes() == ref.tobytes()
+    assert opnorm(k) == float(np.linalg.norm(k, 2))
+
+
+def test_kron_rejects_vectors():
+    with pytest.raises(DimensionError):
+        kron(np.ones(2), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [
+    complex(x, 0.0) for x in (math.nan, math.inf, -math.inf)
+] + [complex(0.0, x) for x in (math.nan, math.inf, -math.inf)])
+def test_as_complex_rejects_non_finite_parts(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(NumericError):
+        as_complex(m)
+
+
+@pytest.mark.parametrize("entropy", [(0,), (7, 3), (12345, 39, 2), (2 ** 40, 0, 1)])
+def test_random_stream_matches_rng_stream_and_token(entropy):
+    rng, token = random_stream(*entropy)
+    ref = rng_stream(*entropy)
+    assert token == stream_token(*entropy)
+    assert np.array_equal(rng.standard_normal(16), ref.standard_normal(16))
+    assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
 
 def test_kron_diagonal_examples():
@@ -240,6 +307,10 @@ def test_tolerance_config_validation():
 
     with pytest.raises(ValueError):
         ToleranceConfig(atol=-1e-9)
+    for field in ("atol", "rtol", "eig_cluster_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ToleranceConfig(**{field: bad})
     tol = ToleranceConfig()
     assert tol.bound() == tol.atol + tol.rtol
     assert tol.bound(100.0) == tol.atol + tol.rtol * 100.0
