@@ -51,6 +51,11 @@ class ScalarFunction:
     def __call__(self, t: float) -> float:
         return float(self.fn(t))
 
+    def __reduce__(self):
+        # Pickles as its catalog key: `fn` is a closure, which pickle cannot
+        # carry, and `get_function` rebuilds it.
+        return get_function, (self.name, self.params)
+
     @property
     def label(self) -> str:
         """Stable identifier, e.g. 'hinge:0' or 'square'."""
@@ -224,16 +229,17 @@ class OperatorConvexityReport:
         return self.verdict == "violation"
 
 
-def _sampling_box(domain: Interval, halfwidth: float = 2.5, margin: float = 0.2) -> tuple[float, float]:
-    """Compact spectrum box inside the domain, away from open endpoints."""
+def _sampling_box(domain: Interval) -> tuple[float, float]:
+    """Compact spectrum box inside the domain, 0.2 away from open endpoints;
+    5 wide, or [-2.5, 2.5], where the domain is unbounded."""
     lo_finite = math.isfinite(domain.lo)
     hi_finite = math.isfinite(domain.hi)
-    lo = domain.lo + (margin if domain.lo_open else 0.0) if lo_finite else -halfwidth
-    hi = domain.hi - (margin if domain.hi_open else 0.0) if hi_finite else halfwidth
+    lo = domain.lo + (0.2 if domain.lo_open else 0.0) if lo_finite else -2.5
+    hi = domain.hi - (0.2 if domain.hi_open else 0.0) if hi_finite else 2.5
     if lo_finite and not hi_finite:
-        hi = lo + 2.0 * halfwidth
+        hi = lo + 5.0
     elif hi_finite and not lo_finite:
-        lo = hi - 2.0 * halfwidth
+        lo = hi - 5.0
     if lo >= hi:
         raise ValueError(f"domain {domain} leaves no room to sample")
     return lo, hi
@@ -243,11 +249,8 @@ def _clipped_pair(m: np.ndarray, f: ScalarFunction, lo: float, hi: float):
     """(matrix with clipped spectrum, f of it, max |f| over its spectrum)."""
     dec = hermitian_eig(m)
     w = np.clip(dec.eigenvalues, lo, hi)
-    u = dec.eigenvectors
-    a = (u * w) @ u.conj().T
     fw = np.array([f(float(t)) for t in w])
-    fa = (u * fw) @ u.conj().T
-    return 0.5 * (a + a.conj().T), 0.5 * (fa + fa.conj().T), float(np.max(np.abs(fw)))
+    return dec.with_eigenvalues(w), dec.with_eigenvalues(fw), float(np.max(np.abs(fw)))
 
 
 def check_operator_convex(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -57,6 +58,29 @@ EXIT_NUMERIC = 3
 _SEED_ENV = "OPJENSEN_SEED"
 
 
+def _integer(value, what: str) -> int:
+    """int(value), refusing a bool or a fractional number it would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _pairs(entries, convert, what: str) -> list[tuple]:
+    """Config entries that must each be a two-element list."""
+    out = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"each {what} entry must be a pair, got {entry!r}")
+        out.append((convert(entry[0], what), convert(entry[1], what)))
+    return out
+
+
 @dataclass
 class CampaignConfig:
     checks: list[str]
@@ -79,20 +103,20 @@ class CampaignConfig:
                 raise TypeError("'tolerances' must be a JSON object")
             return cls(
                 checks=list(obj["checks"]),
-                trials=int(obj.get("trials", 100)),
-                dims=[(int(d[0]), int(d[1])) for d in obj.get("dims", [(2, 2), (2, 3), (3, 2)])],
+                trials=_integer(obj.get("trials", 100), "trials"),
+                dims=_pairs(obj.get("dims", [(2, 2), (2, 3), (3, 2)]), _integer, "dims"),
                 functions=list(obj.get("functions", ["square", "abs", "hinge:0"])),
                 map_kinds=list(obj.get("map_kinds", MAP_KINDS)),
-                weights=[(float(w[0]), float(w[1])) for w in obj.get("weights", [(1.0, 1.0)])],
-                master_seed=int(obj.get("master_seed", 0)),
+                weights=_pairs(obj.get("weights", [(1.0, 1.0)]), _real, "weights"),
+                master_seed=_integer(obj.get("master_seed", 0), "master_seed"),
                 tolerances=ToleranceConfig(
-                    atol=float(tol_obj.get("atol", 1e-9)),
-                    rtol=float(tol_obj.get("rtol", 1e-9)),
-                    eig_cluster_tol=float(tol_obj.get("eig_cluster_tol", 1e-10)),
+                    atol=_real(tol_obj.get("atol", 1e-9), "atol"),
+                    rtol=_real(tol_obj.get("rtol", 1e-9), "rtol"),
+                    eig_cluster_tol=_real(tol_obj.get("eig_cluster_tol", 1e-10), "eig_cluster_tol"),
                 ),
                 out_path=str(obj.get("out_path", "campaign_reports.jsonl")),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed campaign config: {exc}") from exc
 
     @classmethod
@@ -206,26 +230,11 @@ def build_tasks(config: CampaignConfig) -> list[tuple]:
     return tasks
 
 
-def _task_payload(task: tuple, config: CampaignConfig) -> tuple:
-    """Picklable payload for a pool worker (functions go as spec strings)."""
+def _run_task(task: tuple, master_seed: int, tol: ToleranceConfig) -> str:
+    """The JSON line of one task's trial, at jobs=1 and in pool workers
+    alike (a task pickles as it is; its function goes by catalog key)."""
     check_name, cell, index = task
-    flat = {k: v for k, v in cell.items() if k != "function"}
-    f = cell.get("function")
-    if f is not None:
-        flat["function_spec"] = f.label
-    tol = config.tolerances
-    return (check_name, flat, index, config.master_seed,
-            (tol.atol, tol.rtol, tol.eig_cluster_tol))
-
-
-def _execute_payload(payload: tuple) -> str:
-    check_name, flat, index, master_seed, tol_triple = payload
-    cell = {k: v for k, v in flat.items() if k != "function_spec"}
-    if "function_spec" in flat:
-        cell["function"] = parse_function_spec(flat["function_spec"])
-    tol = ToleranceConfig(*tol_triple)
-    report = run_trial(check_name, cell, master_seed, index, tol)
-    return report.to_json_line()
+    return run_trial(check_name, cell, master_seed, index, tol).to_json_line()
 
 
 def _csv_path_for(out_path: str) -> str:
@@ -268,15 +277,15 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
     how many workers execute it.
     """
     tasks = build_tasks(config)
-    payloads = [_task_payload(t, config) for t in tasks]
+    run = functools.partial(_run_task, master_seed=config.master_seed, tol=config.tolerances)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(payloads) > 1:
-        chunk = max(1, len(payloads) // (jobs * 8))
+    if jobs > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            lines = list(pool.map(_execute_payload, payloads, chunksize=chunk))
+            lines = list(pool.map(run, tasks, chunksize=chunk))
     else:
-        lines = [_execute_payload(p) for p in payloads]
+        lines = [run(t) for t in tasks]
     try:
         with open(config.out_path, "w", encoding="utf-8") as fh:
             for line in lines:

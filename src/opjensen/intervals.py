@@ -56,11 +56,6 @@ class Interval:
     def finite_endpoints(self) -> tuple[float, ...]:
         return tuple(e for e in (self.lo, self.hi) if math.isfinite(e))
 
-    def midpoint(self) -> float:
-        if not self.is_bounded():
-            raise ValueError("midpoint of an unbounded interval")
-        return 0.5 * (self.lo + self.hi)
-
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"

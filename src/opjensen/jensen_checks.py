@@ -116,6 +116,7 @@ __all__ = [
 ]
 
 _NORMALIZED_TOL = 1e-10
+_MAX_RESAMPLES = 64
 
 
 def _report(
@@ -167,12 +168,9 @@ def _indicator_report(
     )
 
 
-def working_interval(
-    eigenvalues: np.ndarray,
-    pad_fraction: float = 0.05,
-    domain: Interval | None = None,
-) -> Interval:
-    """Compact interval enclosing a spectrum with padding on both sides.
+def working_interval(eigenvalues: np.ndarray, domain: Interval | None = None) -> Interval:
+    """Compact interval enclosing a spectrum, padded on both sides by 5% of
+    its width (at least 0.05).
 
     The padding is clamped into `domain` when given, so a function defined on
     a half-line is never evaluated outside it (eigenvalues themselves always
@@ -180,7 +178,7 @@ def working_interval(
     """
     lo = float(np.min(eigenvalues))
     hi = float(np.max(eigenvalues))
-    pad = pad_fraction * max(hi - lo, 1.0)
+    pad = 0.05 * max(hi - lo, 1.0)
     lo -= pad
     hi += pad
     if domain is not None:
@@ -720,25 +718,26 @@ def check_hansen_pedersen(
 _UNITAL_KINDS = ("ucp_stinespring", "transpose", "pinching", "identity")
 
 
-def _fit_spectrum(h: np.ndarray, f: ScalarFunction, margin: float = 0.5) -> np.ndarray:
+def _fit_spectrum(h: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """Shift a Hermitian matrix so its spectrum sits inside f's domain.
 
     Only lower-bounded domains occur in the catalog; the spectrum is shifted
-    to keep a safety margin above the lower endpoint.
+    to keep a safety margin of 0.5 above the lower endpoint.
     """
     dom = f.domain
     if not math.isfinite(dom.lo):
         return h
     w_min = float(hermitian_eig(h).eigenvalues[0])
-    target = dom.lo + margin
+    target = dom.lo + 0.5
     if w_min >= target:
         return h
     return h + (target - w_min) * np.eye(h.shape[0])
 
 
-def _faithful_density(dim: int, rng: np.random.Generator, floor: float = 0.05) -> np.ndarray:
+def _faithful_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random density mixed with 0.05 * identity, so it is faithful."""
     d = random_density(dim, rng)
-    mixed = (d + floor * np.eye(dim)) / (1.0 + floor * dim)
+    mixed = (d + 0.05 * np.eye(dim)) / (1.0 + 0.05 * dim)
     return hermitize(mixed)
 
 
@@ -888,6 +887,13 @@ def _decode_map(inputs: dict) -> PositiveMap:
     return PositiveMap(**kwargs)
 
 
+def _decode_enforce(d: dict) -> bool:
+    flag = d.get("enforce_hypotheses", True)
+    if not isinstance(flag, bool):
+        raise ValueError(f"enforce_hypotheses must be a JSON boolean, got {flag!r}")
+    return flag
+
+
 # Arguments not listed here are matrices stored under their own name. Every
 # witness records `tol` and `enforce_hypotheses`; witnesses written before it
 # did decode them to the defaults.
@@ -908,8 +914,7 @@ _FIELDS: dict[str, tuple[Callable, Callable]] = {
               lambda d: Interval(**d["piece"])),
     "tol": (lambda t: {"tol": [t.atol, t.rtol, t.eig_cluster_tol]},
             lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL),
-    "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e},
-                           lambda d: bool(d.get("enforce_hypotheses", True))),
+    "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e}, _decode_enforce),
 }
 
 
@@ -1014,13 +1019,12 @@ def run_trial(
     master_seed: int,
     trial_index: int,
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_resamples: int = 64,
 ) -> CheckReport:
     """One campaign trial with deterministic resampling.
 
     Boundary-ambiguity errors (an eigenvalue landing on a spectral-window
-    endpoint) resample the trial with fresh entropy; the resample count is
-    recorded in the report params.
+    endpoint) resample the trial with fresh entropy, at most 64 times; the
+    resample count is recorded in the report params.
     """
     attempts = 0
     while True:
@@ -1031,10 +1035,10 @@ def run_trial(
             break
         except BoundaryAmbiguityError:
             attempts += 1
-            if attempts > max_resamples:
+            if attempts > _MAX_RESAMPLES:
                 raise NumericError(
                     f"{check_name}: trial {trial_index} hit boundary ambiguity "
-                    f"{max_resamples} times in a row"
+                    f"{_MAX_RESAMPLES} times in a row"
                 ) from None
     report.params["trial"] = trial_index
     report.params["resampled"] = attempts
@@ -1120,7 +1124,6 @@ def ablation_search(
     trials: int,
     dims: list[int],
     seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> AblationResult:
     """Re-run a check with one hypothesis removed and hunt for violations.
 
@@ -1132,7 +1135,7 @@ def ablation_search(
     if target not in ABLATION_TARGETS:
         raise ValueError(f"unknown ablation target {target!r}; expected one of {ABLATION_TARGETS}")
     if not dims:
-        dims = [2, 3]
+        raise UsageError("ablation_search needs at least one dimension")
     worst_gap = math.inf
     worst: CheckReport | None = None
     for i in range(trials):
@@ -1145,14 +1148,14 @@ def ablation_search(
             a = random_contraction(n, rng)
             report = check_state_version(
                 h, a, get_function("quartic"), _faithful_density(n, rng),
-                _faithful_density(n, rng), space, tol,
+                _faithful_density(n, rng), space,
                 seed=token, extra_params=extra, enforce_hypotheses=False,
             )
         else:
             make_map, f = _PETZ_ABLATIONS[target]
             phi = make_map(n, rng)
             report = check_petz(
-                phi, random_hermitian(n, rng), f, BlockAlgebra.single(n, 1.0), tol,
+                phi, random_hermitian(n, rng), f, BlockAlgebra.single(n, 1.0),
                 seed=token, extra_params=extra, enforce_hypotheses=False,
             )
         if report.gap < worst_gap:

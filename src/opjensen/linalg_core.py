@@ -60,13 +60,16 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.conj().T
+
+    def with_eigenvalues(self, values) -> np.ndarray:
+        """U diag(values) U* on these eigenvectors, symmetrized to (M + M*)/2
+        so the result is exactly self-adjoint."""
+        u = self.eigenvectors
+        out = (u * values) @ u.conj().T
+        return 0.5 * (out + out.conj().T)
 
 
 def as_complex(m) -> np.ndarray:
@@ -94,7 +97,7 @@ def frob(m: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def hermitize(m, reject_at: float = _HERMITIZE_REJECT) -> np.ndarray:
+def hermitize(m) -> np.ndarray:
     """Replace m by (m + m*)/2; reject if the correction is too large.
 
     The correction bound is relative to ||m||_F, so genuine misuse (a
@@ -104,10 +107,10 @@ def hermitize(m, reject_at: float = _HERMITIZE_REJECT) -> np.ndarray:
     h = 0.5 * (a + a.conj().T)
     correction = frob(a - h)
     # an exactly self-adjoint m, the usual case, needs no norm to compare with
-    if correction and correction > reject_at * max(frob(a), 1e-300):
+    if correction and correction > _HERMITIZE_REJECT * max(frob(a), 1e-300):
         raise NonHermitianError(
             f"matrix is not self-adjoint: ||M - M*||_F/2 = {correction:.3e} "
-            f"exceeds {reject_at:.1e} * ||M||_F"
+            f"exceeds {_HERMITIZE_REJECT:.1e} * ||M||_F"
         )
     return h
 
@@ -241,10 +244,7 @@ def matrix_function(
     precomputed decomposition skips the eigensolve.
     """
     dec = decomp if decomp is not None else hermitian_eig(m)
-    vals = [f(_fit_to_domain(t, f)) for t in dec.eigenvalues.tolist()]
-    u = dec.eigenvectors
-    out = (u * vals) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    return dec.with_eigenvalues([f(_fit_to_domain(t, f)) for t in dec.eigenvalues.tolist()])
 
 
 def _fit_to_domain(t: float, f: "ScalarFunction") -> float:
@@ -385,10 +385,7 @@ def random_instance(kind: str, dim: int, seed: int, weight: float = 1.0):
     raise ValueError(f"unknown random kind {kind!r}; expected one of {RANDOM_KINDS}")
 
 
-def psd_sqrt(m, decomp: SpectralDecomposition | None = None) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Positive square root of a positive semidefinite matrix."""
-    dec = decomp if decomp is not None else hermitian_eig(m)
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    u = dec.eigenvectors
-    out = (u * w) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    dec = hermitian_eig(m)
+    return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))

@@ -158,11 +158,11 @@ def transpose_map(dim: int) -> PositiveMap:
     )
 
 
-def pinching_map(projections: list[np.ndarray], kind: str = "pinching") -> PositiveMap:
+def pinching_map(projections: list[np.ndarray]) -> PositiveMap:
     ps = tuple(as_complex(p) for p in projections)
     dim = ps[0].shape[0]
     return PositiveMap(
-        kind=kind, in_dim=dim, out_dim=dim, kraus=ps,
+        kind="pinching", in_dim=dim, out_dim=dim, kraus=ps,
         claimed_positive=True, claimed_unital=True, claimed_contractive=True,
     )
 

@@ -29,12 +29,11 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(obj) -> np.ndarray:
+    """A vector or matrix from its nested [re, im] pairs."""
     arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim == 2:  # a vector of [re, im] pairs
-        return arr[:, 0] + 1j * arr[:, 1]
-    if arr.ndim == 3:
-        return arr[:, :, 0] + 1j * arr[:, :, 1]
-    raise ValueError(f"cannot decode matrix payload of ndim {arr.ndim}")
+    if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
+        raise ValueError(f"cannot decode matrix payload of shape {arr.shape}: need [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _jsonable(value: Any) -> Any:

@@ -112,18 +112,11 @@ def snap_away_from_spectrum(value: float, eigenvalues: np.ndarray, cluster_tol: 
     return value
 
 
-def jordan_split(
-    h,
-    decomp: SpectralDecomposition | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def jordan_split(h) -> tuple[np.ndarray, np.ndarray]:
     """Jordan decomposition h = pos - neg with pos, neg >= 0 and pos*neg = 0."""
-    dec = decomp if decomp is not None else hermitian_eig(h)
-    u = dec.eigenvectors
-    wp = np.clip(dec.eigenvalues, 0.0, None)
-    wn = np.clip(-dec.eigenvalues, 0.0, None)
-    pos = (u * wp) @ u.conj().T
-    neg = (u * wn) @ u.conj().T
-    return 0.5 * (pos + pos.conj().T), 0.5 * (neg + neg.conj().T)
+    dec = hermitian_eig(h)
+    return (dec.with_eigenvalues(np.clip(dec.eigenvalues, 0.0, None)),
+            dec.with_eigenvalues(np.clip(-dec.eigenvalues, 0.0, None)))
 
 
 def support_projection(x, floor: float = 0.0) -> np.ndarray:
@@ -145,21 +138,22 @@ def support_projection(x, floor: float = 0.0) -> np.ndarray:
     return rows.conj().T @ rows
 
 
-def projection_rank(p, tol: float = 1e-6) -> int:
-    """Rank of an (approximate) projection via its trace."""
+def projection_rank(p) -> int:
+    """Rank of an (approximate) projection via its trace (within 1e-6 of an integer)."""
     tr = float(np.trace(as_complex(p)).real)
     r = round(tr)
-    if abs(tr - r) > tol:
+    if abs(tr - r) > 1e-6:
         raise ValueError(f"trace {tr!r} is not close to an integer; not a projection?")
     return int(r)
 
 
-def is_projection(p, tol: float = 1e-10) -> bool:
+def is_projection(p) -> bool:
+    """Whether p = p* = p^2 within 1e-10 * max(1, ||p||_F)."""
     a = as_complex(p)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    scale = max(1.0, frob(a))
-    return frob(a - a.conj().T) <= tol * scale and frob(a @ a - a) <= tol * scale
+    bound = 1e-10 * max(1.0, frob(a))
+    return frob(a - a.conj().T) <= bound and frob(a @ a - a) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +281,8 @@ def preorder_violation(
     return None
 
 
-def preorder_leq(a, b, algebra: BlockAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return preorder_violation(a, b, algebra, tol) is None
+def preorder_leq(a, b, algebra: BlockAlgebra) -> bool:
+    return preorder_violation(a, b, algebra) is None
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +316,8 @@ class MonotoneSplit:
         return self.PIECE_SIGNS[slot]
 
 
-def _ternary_min(f: Callable[[float], float], lo: float, hi: float, rel: float = 1e-12) -> float:
-    width_target = rel * (hi - lo)
+def _ternary_min(f: Callable[[float], float], lo: float, hi: float) -> float:
+    width_target = 1e-12 * (hi - lo)
     a, b = lo, hi
     while b - a > width_target:
         m1 = a + (b - a) / 3.0
@@ -335,11 +329,9 @@ def _ternary_min(f: Callable[[float], float], lo: float, hi: float, rel: float =
     return 0.5 * (a + b)
 
 
-def _bisect_zero(
-    f: Callable[[float], float], lo: float, hi: float, increasing: bool, rel: float = 1e-14
-) -> float:
+def _bisect_zero(f: Callable[[float], float], lo: float, hi: float, increasing: bool) -> float:
     """Zero of a monotone f with a sign change on [lo, hi]."""
-    width_target = rel * max(abs(lo), abs(hi), 1.0)
+    width_target = 1e-14 * max(abs(lo), abs(hi), 1.0)
     a, b = lo, hi
     while b - a > width_target:
         m = 0.5 * (a + b)
@@ -420,21 +412,21 @@ def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit
 # Pinching and the projection-lattice rank identity
 # ---------------------------------------------------------------------------
 
-def pinching(x, projections: list[np.ndarray], tol: float = 1e-10) -> np.ndarray:
+def pinching(x, projections: list[np.ndarray]) -> np.ndarray:
     """sum_i p_i x p_i for a resolution of the identity {p_i}.
 
     Unital, positive, and trace-preserving. Raises PartitionError if the
-    projections are not mutually orthogonal or do not sum to 1 within tol.
+    projections are not mutually orthogonal or do not sum to 1 within 1e-10 n.
     """
     a = require_square(as_complex(x))
     n = a.shape[0]
     ps = [as_complex(p) for p in projections]
     total = sum(ps)
-    if frob(total - np.eye(n)) > tol * n:
+    if frob(total - np.eye(n)) > 1e-10 * n:
         raise PartitionError("projections do not sum to the identity")
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
-            if frob(ps[i] @ ps[j]) > tol * n:
+            if frob(ps[i] @ ps[j]) > 1e-10 * n:
                 raise PartitionError(f"projections {i} and {j} are not orthogonal")
     out = np.zeros_like(a)
     for p in ps:

@@ -1,5 +1,7 @@
 """Scalar function catalog metadata and the convexity checkers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,15 @@ def test_parse_function_spec():
 def test_label_round_trip():
     f = get_function("shifted_square", (-1.0,))
     assert parse_function_spec(f.label).params == f.params
+
+
+def test_pickles_as_catalog_key():
+    # campaign tasks carry functions to pool workers by pickling them
+    for spec in ("square", "hinge:0.5", "shifted_square:-1", "power:1.5", "inv", "linear"):
+        f = parse_function_spec(spec)
+        g = pickle.loads(pickle.dumps(f))
+        assert (g.label, g.domain, g.is_operator_convex, g.vanishes_at_zero, g(0.7)) == \
+            (f.label, f.domain, f.is_operator_convex, f.vanishes_at_zero, f(0.7))
 
 
 def test_check_convex_square():

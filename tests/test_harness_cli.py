@@ -288,6 +288,23 @@ def test_cli_campaign_tolerances_not_an_object(tmp_path):
     assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.7),
+    ("trials", True),
+    ("master_seed", 1.9),
+    ("dims", [[2, 3, 9]]),
+    ("weights", [[1.0, 1.0, 2.0]]),
+])
+def test_cli_campaign_rejects_malformed_numbers(tmp_path, field, value):
+    # each was truncated: to 2 trials, 1 trial, seed 1, dims (2, 3), weights (1, 1)
+    cfg = {"checks": ["check_cfl"], "trials": 2, "dims": [[2, 2]], "functions": ["square"],
+           "out_path": str(tmp_path / "out.jsonl"), field: value}
+    with pytest.raises(UsageError):
+        CampaignConfig.from_dict(cfg)
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(cfg["out_path"])
+
+
 def test_cli_check_branch_needing_f0(capsys):
     rc = cli_entry(["check", "--name", "check_main_tracial", "--function", "exp",
                     "--branch", "subnormalized", "--trials", "2"])
@@ -296,6 +313,14 @@ def test_cli_check_branch_needing_f0(capsys):
 
 def test_cli_search_zero_trials(capsys):
     assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_search_empty_dims(capsys):
+    # an empty list was replaced by [2, 3] and the search exited 0
+    rc = cli_entry(["search", "--target", "petz_drop_f0", "--trials", "2", "--seed", "1",
+                    "--dims", ","])
+    assert rc == EXIT_USAGE
     assert capsys.readouterr().out == ""
 
 
@@ -326,3 +351,16 @@ def test_cli_replay_missing_input(tmp_path, capsys):
     del rec["witness"]["inputs"]["map"]
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "map" in capsys.readouterr().err
+
+
+def test_cli_replay_malformed_values(tmp_path, capsys):
+    # three-number entries replayed as "reproduced"; a string flag read as true
+    rec = _witness_record(tmp_path, capsys)
+    x = rec["witness"]["inputs"]["x"]
+    rec["witness"]["inputs"]["x"] = [[z + [5.0] for z in row] for row in x]
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "[re, im] pairs" in capsys.readouterr().err
+    rec["witness"]["inputs"]["x"] = x
+    rec["witness"]["inputs"]["enforce_hypotheses"] = "false"
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "enforce_hypotheses" in capsys.readouterr().err

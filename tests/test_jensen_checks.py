@@ -629,6 +629,11 @@ def test_ablation_unknown_target():
         ablation_search("bogus", 1, [2], 0)
 
 
+def test_ablation_needs_dims():
+    with pytest.raises(UsageError):
+        ablation_search("petz_drop_f0", 2, [], 1)
+
+
 def test_report_invariant_pass_iff_gap_above_neg_tol():
     reports = []
     for s in range(10):
@@ -692,6 +697,13 @@ def test_replay_rejects_malformed_reports():
         replay_report({k: v for k, v in rec.items() if k != "seed"})
     with pytest.raises(UsageError):
         replay_report(dict(rec, witness={"inputs": dict(rec["witness"]["inputs"], x=[[1.0]])}))
+    # entries of three numbers, not [re, im] pairs; a flag that is a string
+    x3 = [[z + [0.0] for z in row] for row in rec["witness"]["inputs"]["x"]]
+    with pytest.raises(UsageError):
+        replay_report(dict(rec, witness={"inputs": dict(rec["witness"]["inputs"], x=x3)}))
+    with pytest.raises(UsageError, match="enforce_hypotheses"):
+        replay_report(dict(rec, witness={"inputs": dict(rec["witness"]["inputs"],
+                                                        enforce_hypotheses="false")}))
     del rec["witness"]["inputs"]["x"]
     with pytest.raises(UsageError):
         replay_report(rec)

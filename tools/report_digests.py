@@ -1,0 +1,87 @@
+"""Print sha256 digests of fixed opjensen report outputs.
+
+Run `python tools/report_digests.py` in two checkouts and compare the
+printed lines to show that a change leaves the report bytes as they were:
+
+  * `default_campaign(master_seed=s)` for s in 42 and 7, at jobs 1 and 2,
+    the JSONL reports and the CSV summary;
+  * the acceptance-01 CFL campaign axes with 225 trials, master seed 101,
+    at jobs 2;
+  * the ablation lines: for each of `ABLATION_TARGETS`,
+    `ablation_search(target, 12, [2, 3, 4], 1)`, written as the witness's
+    `to_json_line()`, or `repr(max_violation)` when there is no witness,
+    joined by newlines.
+
+The package is imported from the `src/` directory next to this script. This
+is a tool, not a test: LAPACK/BLAS results, and so the bytes, are not
+promised to be identical across CPUs, only from run to run on one machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from opjensen.harness_cli import (  # noqa: E402
+    CampaignConfig,
+    _csv_path_for,
+    default_campaign,
+    run_campaign,
+)
+from opjensen.jensen_checks import ABLATION_TARGETS, ablation_search  # noqa: E402
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha256(fh.read())
+
+
+def _campaign(label: str, config: CampaignConfig, jobs: int, out_dir: str) -> None:
+    config.out_path = os.path.join(out_dir, "reports.jsonl")
+    run_campaign(config, jobs=jobs)
+    print(f"{label} jobs={jobs} jsonl {_file_sha256(config.out_path)}")
+    print(f"{label} jobs={jobs} csv   {_file_sha256(_csv_path_for(config.out_path))}")
+
+
+def _cfl_campaign() -> CampaignConfig:
+    return CampaignConfig(
+        checks=["check_cfl"],
+        trials=225,
+        dims=[(d1, d2) for d1 in (2, 3, 4) for d2 in (2, 3, 4)],
+        functions=["square", "abs", "quartic", "exp", "hinge:0"],
+        master_seed=101,
+    )
+
+
+def _ablation_lines() -> str:
+    lines = []
+    for target in ABLATION_TARGETS:
+        result = ablation_search(target, 12, [2, 3, 4], 1)
+        if result.witness is not None:
+            lines.append(result.witness.to_json_line())
+        else:
+            lines.append(repr(result.max_violation))
+    return "\n".join(lines)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as out_dir:
+        for seed in (42, 7):
+            for jobs in (1, 2):
+                _campaign(f"default_campaign seed={seed}", default_campaign(master_seed=seed),
+                          jobs, out_dir)
+        _campaign("cfl_campaign seed=101", _cfl_campaign(), 2, out_dir)
+    print(f"ablation_lines {_sha256(_ablation_lines().encode('utf-8'))}")
+
+
+if __name__ == "__main__":
+    main()
