@@ -2,7 +2,7 @@
 partial traces, positive maps, and states on finite-dimensional operator
 algebras."""
 
-from .convex_catalog import ScalarFunction, check_convex, check_operator_convex, get_function
+from .convex_catalog import ScalarFunction, check_operator_convex, get_function
 from .errors import (
     BoundaryAmbiguityError,
     ConvexityError,
@@ -39,7 +39,6 @@ from .linalg_core import (
     hermitian_eig,
     kron,
     matrix_function,
-    random_instance,
     rng_stream,
 )
 from .harness_cli import CampaignConfig, cli_entry, default_campaign, run_campaign
@@ -52,7 +51,6 @@ from .spectral_tools import (
     kaplansky_verify,
     monotone_sign_split,
     pinching,
-    preorder_leq,
     singular_value_function,
     spectral_projection,
     support_projection,

@@ -28,7 +28,6 @@ __all__ = [
     "get_function",
     "catalog_names",
     "parse_function_spec",
-    "check_convex",
     "find_convexity_violation",
     "check_operator_convex",
     "OperatorConvexityReport",
@@ -179,7 +178,12 @@ def get_function(name: str, params: tuple[float, ...] | list[float] = ()) -> Sca
 def parse_function_spec(spec: str) -> ScalarFunction:
     """Parse 'name' or 'name:p1[,p2...]' as used in CLI flags and configs."""
     name, _, tail = spec.partition(":")
-    params = tuple(float(p) for p in tail.split(",")) if tail else ()
+    try:
+        params = tuple(float(p) for p in tail.split(",")) if tail else ()
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError
+    except ValueError:
+        raise UnknownFunctionError(f"function spec {spec!r}: parameters must be finite") from None
     return get_function(name.strip(), params)
 
 
@@ -210,10 +214,6 @@ def find_convexity_violation(
         if lhs > rhs + 1e-12 * scale:
             return {"x": x, "y": y, "lam": lam, "lhs": lhs, "rhs": rhs}
     return None
-
-
-def check_convex(f: ScalarFunction, interval: Interval, n_samples: int, seed: int) -> bool:
-    return find_convexity_violation(f, interval, n_samples, seed) is None
 
 
 @dataclass(frozen=True)

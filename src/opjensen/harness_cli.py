@@ -25,6 +25,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -179,8 +180,8 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
             raise UsageError(f"unknown map kind {k!r}; valid kinds: {', '.join(MAP_KINDS)}")
     weights = list(config.weights) if "weights" in axes else [(1.0, 1.0)]
     for w1, w2 in weights:
-        if w1 <= 0 or w2 <= 0:
-            raise UsageError(f"trace weights must be positive, got ({w1}, {w2})")
+        if not (0 < w1 < math.inf and 0 < w2 < math.inf):
+            raise UsageError(f"trace weights must be positive and finite, got ({w1}, {w2})")
     branches = ("normalized", "subnormalized") if "branches" in axes else (None,)
     cells = []
     for (d1, d2), f, kind, (w1, w2), branch in itertools.product(
@@ -230,11 +231,23 @@ def build_tasks(config: CampaignConfig) -> list[tuple]:
     return tasks
 
 
-def _run_task(task: tuple, master_seed: int, tol: ToleranceConfig) -> str:
-    """The JSON line of one task's trial, at jobs=1 and in pool workers
-    alike (a task pickles as it is; its function goes by catalog key)."""
+def _run_task(task: tuple, master_seed: int, tol: ToleranceConfig) -> tuple[str, bool, float, int]:
+    """One task's trial as (JSON line, passed, gap, resamples), at jobs=1 and
+    in pool workers alike (a task pickles as it is; its function goes by
+    catalog key)."""
     check_name, cell, index = task
-    return run_trial(check_name, cell, master_seed, index, tol).to_json_line()
+    report = run_trial(check_name, cell, master_seed, index, tol)
+    return report.to_json_line(), bool(report.passed), float(report.gap), report.params["resampled"]
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write JSON lines to a report file; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write report file {path!r}: {exc}") from exc
 
 
 def _csv_path_for(out_path: str) -> str:
@@ -242,18 +255,18 @@ def _csv_path_for(out_path: str) -> str:
     return (root if ext == ".jsonl" else out_path) + ".csv"
 
 
-def _write_summary_csv(path: str, tasks: list[tuple], reports: list[dict]) -> None:
+def _write_summary_csv(path: str, tasks: list[tuple], results: list[tuple]) -> None:
     stats: dict[tuple, dict] = {}
     order: list[tuple] = []
-    for (check_name, cell, index), rep in zip(tasks, reports):
+    for (check_name, cell, index), (_, passed, gap, _) in zip(tasks, results):
         key = _cell_key(check_name, cell)
         if key not in stats:
             stats[key] = {"trials": 0, "failures": 0, "gaps": []}
             order.append(key)
         st = stats[key]
         st["trials"] += 1
-        st["failures"] += 0 if rep["pass"] else 1
-        st["gaps"].append(rep["gap"])
+        st["failures"] += 0 if passed else 1
+        st["gaps"].append(gap)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -283,26 +296,19 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
     if jobs > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            lines = list(pool.map(run, tasks, chunksize=chunk))
+            results = list(pool.map(run, tasks, chunksize=chunk))
     else:
-        lines = [run(t) for t in tasks]
-    try:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write report file {config.out_path!r}: {exc}") from exc
-    reports = [json.loads(line) for line in lines]
-    _write_summary_csv(_csv_path_for(config.out_path), tasks, reports)
-    gaps = [r["gap"] for r in reports]
-    summary = {
-        "total": len(reports),
-        "passed": sum(1 for r in reports if r["pass"]),
-        "failed": sum(1 for r in reports if not r["pass"]),
-        "resampled": sum(int(r["params"].get("resampled", 0)) for r in reports),
-        "max_negative_gap": min(gaps) if gaps else 0.0,
+        results = [run(t) for t in tasks]
+    _write_lines(config.out_path, [line for line, *_ in results])
+    _write_summary_csv(_csv_path_for(config.out_path), tasks, results)
+    passed = sum(1 for _, ok, _, _ in results if ok)
+    return {
+        "total": len(results),
+        "passed": passed,
+        "failed": len(results) - passed,
+        "resampled": sum(resamples for *_, resamples in results),
+        "max_negative_gap": min(gap for _, _, gap, _ in results),
     }
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +400,7 @@ def _cmd_check(args) -> int:
     reports = [run_trial(args.name, cells[0], seed, t, tol) for t in range(args.trials)]
     failed = [r for r in reports if not r.passed]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for r in reports:
-                fh.write(r.to_json_line() + "\n")
+        _write_lines(args.out, [r.to_json_line() for r in reports])
     gaps = [r.gap for r in reports]
     print(json.dumps({
         "check": args.name, "trials": len(reports), "failures": len(failed),
@@ -428,8 +432,7 @@ def _cmd_search(args) -> int:
     if result.witness is not None:
         line = result.witness.to_json_line()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            _write_lines(args.out, [line])
             print(f"witness: {args.out}")
         else:
             print(line)

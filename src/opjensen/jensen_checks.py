@@ -70,6 +70,7 @@ from .linalg_core import (
     symmetrize,
 )
 from .positive_maps import (
+    _UNITAL_KINDS,
     PositiveMap,
     apply_map,
     random_positive_map,
@@ -77,6 +78,7 @@ from .positive_maps import (
 from .reporting import CheckReport, decode_matrix, encode_matrix
 from .spectral_tools import (
     MonotoneSplit,
+    _cluster_tol,
     jordan_split,
     monotone_sign_split,
     pinching,
@@ -115,7 +117,9 @@ __all__ = [
     "working_interval",
 ]
 
-_NORMALIZED_TOL = 1e-10
+# Slack on the numerical hypotheses (unit traces, contractions, unitarity),
+# which hold only up to rounding on generated and replayed inputs.
+_HYPOTHESIS_SLACK = 1e-10
 _MAX_RESAMPLES = 64
 
 
@@ -182,18 +186,39 @@ def working_interval(eigenvalues: np.ndarray, domain: Interval | None = None) ->
     lo -= pad
     hi += pad
     if domain is not None:
-        if math.isfinite(domain.lo):
-            inset = 1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0
-            lo = max(lo, domain.lo + inset)
-        if math.isfinite(domain.hi):
-            inset = 1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0
-            hi = min(hi, domain.hi - inset)
+        lo, hi = _clamp_inside(lo, hi, domain)
     return Interval.closed(lo, hi)
+
+
+def _clamp_inside(lo: float, hi: float, domain: Interval) -> tuple[float, float]:
+    """[lo, hi] clamped into a domain, staying 1e-9 (relative) inside its
+    open endpoints, where a function need not be defined."""
+    if math.isfinite(domain.lo):
+        lo = max(lo, domain.lo + (1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0))
+    if math.isfinite(domain.hi):
+        hi = min(hi, domain.hi - (1e-9 * max(1.0, abs(domain.hi)) if domain.hi_open else 0.0))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
 # The checks
 # ---------------------------------------------------------------------------
+
+def _tracial_sides(H: np.ndarray, a: np.ndarray, f: ScalarFunction, space: TensorSpace,
+                   weights: tuple[float, float]) -> tuple[float, float]:
+    """lhs and rhs of the weighted partial-trace Jensen inequality,
+      tau_2 f((tau_1 x id)[(a* x 1) H (a x 1)])  and  tau_1[a* (id x tau_2)(f(H)) a],
+    for self-adjoint H. The density-matrix (CFL) form is the case
+    a = rho^(1/2) with unit weights."""
+    w1, w2 = weights
+    compressed = hermitize(
+        partial_trace(conjugate_compress(H, a, space), "trace_first", space, weights)
+    )
+    lhs = w2 * float(np.trace(matrix_function(compressed, f)).real)
+    pt2_fH = hermitize(partial_trace(matrix_function(H, f), "trace_second", space, weights))
+    rhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)
+    return lhs, rhs
+
 
 def check_cfl(
     H,
@@ -208,22 +233,14 @@ def check_cfl(
     """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2."""
     Hm = hermitize(H)
     rho_m = hermitize(rho)
-    if Hm.shape != (space.total_dim, space.total_dim):
-        raise DimensionError(f"H has shape {Hm.shape}, expected {space.total_dim}")
     if rho_m.shape != (space.d1, space.d1):
         raise DimensionError(f"rho has shape {rho_m.shape}, expected {space.d1}")
     if enforce_hypotheses:
         if not f.is_convex:
             raise HypothesisError(f"function {f.label} is not flagged convex")
-        if abs(float(np.trace(rho_m).real) - 1.0) > 1e-10:
+        if abs(float(np.trace(rho_m).real) - 1.0) > _HYPOTHESIS_SLACK:
             raise HypothesisError("rho must have unit trace")
-    root = psd_sqrt(rho_m)
-    compressed = hermitize(
-        partial_trace(conjugate_compress(Hm, root, space), "trace_first", space)
-    )
-    lhs = float(np.trace(matrix_function(compressed, f)).real)
-    pt2_fH = hermitize(partial_trace(matrix_function(Hm, f), "trace_second", space))
-    rhs = float(np.trace(root @ pt2_fH @ root).real)
+    lhs, rhs = _tracial_sides(Hm, psd_sqrt(rho_m), f, space, (1.0, 1.0))
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     params.update(extra_params or {})
     inputs = dict(H=Hm, rho=rho_m, f=f, space=space, tol=tol,
@@ -256,12 +273,12 @@ def check_main_tracial(
     norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
     if enforce_hypotheses:
         if branch == "normalized":
-            if abs(norm_sq - 1.0) > _NORMALIZED_TOL:
+            if abs(norm_sq - 1.0) > _HYPOTHESIS_SLACK:
                 raise HypothesisError(
                     f"normalized branch needs tau_1(a* a) = 1, got {norm_sq!r}"
                 )
         elif branch == "subnormalized":
-            if norm_sq > 1.0 + _NORMALIZED_TOL:
+            if norm_sq > 1.0 + _HYPOTHESIS_SLACK:
                 raise HypothesisError(
                     f"subnormalized branch needs tau_1(a* a) <= 1, got {norm_sq!r}"
                 )
@@ -273,14 +290,7 @@ def check_main_tracial(
             raise ValueError(f"unknown branch {branch!r}")
         if not f.is_convex:
             raise HypothesisError(f"function {f.label} is not flagged convex")
-    compressed = hermitize(
-        partial_trace(conjugate_compress(Hm, am, space), "trace_first", space, (w1, w2))
-    )
-    lhs = w2 * float(np.trace(matrix_function(compressed, f)).real)
-    pt2_fH = hermitize(
-        partial_trace(matrix_function(Hm, f), "trace_second", space, (w1, w2))
-    )
-    rhs = w1 * float(np.trace(am.conj().T @ pt2_fH @ am).real)
+    lhs, rhs = _tracial_sides(Hm, am, f, space, (w1, w2))
     params = {
         "d1": space.d1, "d2": space.d2, "function": f.label,
         "w1": w1, "w2": w2, "branch": branch,
@@ -369,12 +379,7 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
     part outside cannot carry spectrum); an empty overlap counts as
     nonnegative, matching a zero projection.
     """
-    lo, hi = piece.lo, piece.hi
-    dom = f.domain
-    if math.isfinite(dom.lo):
-        lo = max(lo, dom.lo + (1e-9 * max(1.0, abs(dom.lo)) if dom.lo_open else 0.0))
-    if math.isfinite(dom.hi):
-        hi = min(hi, dom.hi - (1e-9 * max(1.0, abs(dom.hi)) if dom.hi_open else 0.0))
+    lo, hi = _clamp_inside(piece.lo, piece.hi, f.domain)
     if lo > hi:
         return 1
     ts = np.linspace(lo, hi, 33)
@@ -396,8 +401,7 @@ def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) 
     the shift is a handful of cluster tolerances, far below any scale the
     sign and pre-order assertions can resolve.
     """
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(eigenvalues, tol)
     lo = snap_away_from_spectrum(piece.lo, eigenvalues, ctol)
     hi = snap_away_from_spectrum(piece.hi, eigenvalues, ctol)
     if lo > hi:
@@ -417,8 +421,7 @@ def _snapped_projections(
     spectrum touches the window ends.
     """
     w = dec_y.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(w, tol)
     pieces = [p for _, p in split.nonempty_pieces()]
     interior = [p.hi for p in pieces[:-1]]
     snapped = [-math.inf]
@@ -630,7 +633,7 @@ def check_state_version(
     if enforce_hypotheses:
         if not f.is_operator_convex:
             raise HypothesisError(f"function {f.label} is not flagged operator convex")
-        if opnorm(am) > 1.0 + 1e-10:
+        if opnorm(am) > 1.0 + _HYPOTHESIS_SLACK:
             raise HypothesisError("a must be a contraction")
         for name, dm, dim in (("rho1", d1_m, space.d1), ("rho2", d2_m, space.d2)):
             if dm.shape != (dim, dim):
@@ -638,7 +641,7 @@ def check_state_version(
             w = hermitian_eig(dm).eigenvalues
             if w[0] <= 0.0:
                 raise HypothesisError(f"{name} must be faithful (min eigenvalue > 0)")
-            if abs(float(np.sum(w)) - 1.0) > 1e-10:
+            if abs(float(np.sum(w)) - 1.0) > _HYPOTHESIS_SLACK:
                 raise HypothesisError(f"{name} must have unit trace")
     X = conjugate_compress(Hm, am, space)
     compressed = symmetrize(
@@ -659,7 +662,7 @@ def check_state_version(
 
 def _is_numerically_unitary(a: np.ndarray) -> bool:
     n = a.shape[0]
-    return frob(a.conj().T @ a - np.eye(n)) <= 1e-10 * max(1.0, math.sqrt(n))
+    return frob(a.conj().T @ a - np.eye(n)) <= _HYPOTHESIS_SLACK * max(1.0, math.sqrt(n))
 
 
 def check_hansen_pedersen(
@@ -685,7 +688,7 @@ def check_hansen_pedersen(
     if enforce_hypotheses:
         if not f.is_operator_convex:
             raise HypothesisError(f"function {f.label} is not flagged operator convex")
-        if opnorm(am) > 1.0 + 1e-10:
+        if opnorm(am) > 1.0 + _HYPOTHESIS_SLACK:
             raise HypothesisError("a must be a contraction")
         if not unitary:
             if not f.defined_at_zero() or f(0.0) > tol.bound():
@@ -698,7 +701,7 @@ def check_hansen_pedersen(
     lhs_mat = matrix_function(compressed, f)
     diff = symmetrize(conjugate_compress(fH, am, space)) - lhs_mat
     lam_min = float(hermitian_eig(diff).eigenvalues[0])
-    tol_val = tol.atol + tol.rtol * max(1.0, opnorm(fH))
+    tol_val = tol.bound(opnorm(fH))
     passed = lam_min >= -tol_val
     params = {
         "d1": space.d1, "d2": space.d2, "function": f.label,
@@ -714,9 +717,6 @@ def check_hansen_pedersen(
 # ---------------------------------------------------------------------------
 # Seeded instance generation
 # ---------------------------------------------------------------------------
-
-_UNITAL_KINDS = ("ucp_stinespring", "transpose", "pinching", "identity")
-
 
 def _fit_spectrum(h: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """Shift a Hermitian matrix so its spectrum sits inside f's domain.
@@ -1008,9 +1008,7 @@ def generate_trial(
     """
     spec = CHECKS[check_name]
     rng, token = random_stream(*entropy)
-    inputs = spec.draw(cell, rng)
-    extra = dict(cell.get("extra_params") or {}, **inputs.pop("extra_params", {}))
-    return spec.run(**inputs, tol=tol, seed=token, extra_params=extra)
+    return spec.run(**spec.draw(cell, rng), tol=tol, seed=token)
 
 
 def run_trial(

@@ -7,8 +7,8 @@ test object the verification campaigns consume.
 Conventions fixed project-wide:
   * the FIRST tensor factor is the slow (outer) index;
   * randomness flows through numpy PCG64 generators derived from explicit
-    integer entropy tuples, so identical (kind, dims, seed) always reproduces
-    the same object.
+    integer entropy tuples, so a generator called with the same dims on the
+    stream of the same entropy always reproduces the same object.
 """
 
 from __future__ import annotations
@@ -281,16 +281,6 @@ def opnorm(m) -> float:
 # Seeded random test objects
 # ---------------------------------------------------------------------------
 
-RANDOM_KINDS = (
-    "hermitian",
-    "density",
-    "contraction",
-    "unitary",
-    "unit_vector",
-    "l2_normalized",
-)
-
-
 def rng_stream(*entropy: int) -> np.random.Generator:
     """A PCG64 stream keyed by an integer tuple.
 
@@ -364,25 +354,6 @@ def random_l2_normalized(dim: int, rng: np.random.Generator, weight: float = 1.0
     g = complex_gaussian(rng, d, d)
     norm_sq = weight * float(np.trace(g.conj().T @ g).real)
     return g / math.sqrt(norm_sq)
-
-
-def random_instance(kind: str, dim: int, seed: int, weight: float = 1.0):
-    """Seeded dispatcher over the generators above; deterministic per
-    (kind, dim, seed)."""
-    rng = rng_stream(seed)
-    if kind == "hermitian":
-        return random_hermitian(dim, rng)
-    if kind == "density":
-        return random_density(dim, rng)
-    if kind == "contraction":
-        return random_contraction(dim, rng)
-    if kind == "unitary":
-        return random_unitary(dim, rng)
-    if kind == "unit_vector":
-        return random_unit_vector(dim, rng)
-    if kind == "l2_normalized":
-        return random_l2_normalized(dim, rng, weight)
-    raise ValueError(f"unknown random kind {kind!r}; expected one of {RANDOM_KINDS}")
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg_core import (
     kron,
     random_unitary,
     rng_stream,
+    symmetrize,
 )
 from .tensor_ops import TensorSpace
 
@@ -39,9 +40,11 @@ __all__ = [
 ]
 
 MAP_KINDS = ("ucp_stinespring", "transpose", "pinching", "scaled_contractive", "zero")
+# The kinds whose maps are unital; the others are contractive only, so the
+# Petz-type checks also need f(0) = 0 on them.
+_UNITAL_KINDS = ("ucp_stinespring", "transpose", "pinching")
 
-_UNITAL_TOL = 1e-10
-_CONTRACTIVE_TOL = 1e-10
+_FLAG_TOL = 1e-10  # slack of the numerically derived map flags
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,9 @@ class PositiveMap:
         eigenvalue of Phi(1), which characterizes it for positive maps.
         """
         one_img = self.on_identity()
-        unital = frob(one_img - np.eye(self.out_dim)) <= _UNITAL_TOL
+        unital = frob(one_img - np.eye(self.out_dim)) <= _FLAG_TOL
         lam_max = float(hermitian_eig(one_img).eigenvalues[-1])
-        return unital, lam_max <= 1.0 + _CONTRACTIVE_TOL
+        return unital, lam_max <= 1.0 + _FLAG_TOL
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -185,8 +188,8 @@ def slice_compress_map(a, space: TensorSpace, w1: float) -> PositiveMap:
     return PositiveMap(
         kind="slice_compress", in_dim=space.total_dim, out_dim=space.d2, kraus=ops,
         claimed_positive=True,
-        claimed_unital=abs(norm_sq - 1.0) <= _UNITAL_TOL,
-        claimed_contractive=norm_sq <= 1.0 + _CONTRACTIVE_TOL,
+        claimed_unital=abs(norm_sq - 1.0) <= _FLAG_TOL,
+        claimed_contractive=norm_sq <= 1.0 + _FLAG_TOL,
     )
 
 
@@ -200,8 +203,8 @@ def _random_partition(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def random_positive_map(kind: str, in_dim: int, out_dim: int, seed_or_rng) -> PositiveMap:
-    """Seeded generator over the supported map kinds.
+def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Generator) -> PositiveMap:
+    """Random map of one of the supported kinds, drawn from `rng`.
 
     ucp_stinespring: V*(x (x) 1_e)V for a Haar isometry V (unital, CP).
     transpose:       positive and unital, not CP (negative Choi eigenvalue).
@@ -209,7 +212,6 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, seed_or_rng) -> Po
     scaled_contractive: c * Psi for a UCP Psi, c uniform in (0, 1).
     zero:            the zero map (positive and contractive, not unital).
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else rng_stream(seed_or_rng)
     if in_dim < 1 or out_dim < 1:
         raise DimensionError("map dimensions must be >= 1")
     if kind == "transpose":
@@ -269,11 +271,8 @@ def map_flags(phi: PositiveMap, trials: int = 16, seed: int = 0) -> MapFlags:
     for _ in range(trials):
         g = complex_gaussian(rng, phi.in_dim, phi.in_dim)
         x = g @ g.conj().T
-        out = apply_map(phi, x)
-        out = 0.5 * (out + out.conj().T)
-        lam_min = float(hermitian_eig(out).eigenvalues[0])
-        scale = max(1.0, float(np.max(np.abs(hermitian_eig(out).eigenvalues))))
-        if lam_min < -1e-10 * scale:
+        w = hermitian_eig(symmetrize(apply_map(phi, x))).eigenvalues
+        if w[0] < -_FLAG_TOL * max(1.0, float(np.max(np.abs(w)))):
             positive = False
             break
     return MapFlags(unital=unital, contractive=contractive, positivity_sampled=positive)

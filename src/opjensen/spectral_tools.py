@@ -43,6 +43,12 @@ INCREASING_AT_ORIGIN = "increasing_at_origin"
 # Spectral projections and Jordan decomposition
 # ---------------------------------------------------------------------------
 
+def _cluster_tol(w: np.ndarray, tol: ToleranceConfig) -> float:
+    """Width within which eigenvalues of the spectrum w count as one cluster:
+    eig_cluster_tol * max(1, |w|_max)."""
+    return tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
+
+
 def _cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
     """Group ascending eigenvalues into clusters separated by > cluster_tol.
 
@@ -74,8 +80,7 @@ def spectral_projection(
     """
     dec = decomp if decomp is not None else hermitian_eig(h)
     w = dec.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(w, tol)
     keep = np.zeros(len(w), dtype=bool)
     for idx in _cluster_eigenvalues(w, ctol):
         lo_val, hi_val = float(w[idx[0]]), float(w[idx[-1]])
@@ -269,9 +274,7 @@ def preorder_violation(
     """
     spec_a = _block_spectra(a, algebra)
     spec_b = _block_spectra(b, algebra, b_decomp)
-    all_vals = np.concatenate(spec_a + spec_b)
-    scale = max(1.0, float(np.max(np.abs(all_vals))) if len(all_vals) else 0.0)
-    ctol = tol.eig_cluster_tol * scale
+    ctol = _cluster_tol(np.concatenate(spec_a + spec_b), tol)
     for s in _preorder_s_grid(spec_a + spec_b, ctol):
         for k, (wa, wb) in enumerate(zip(spec_a, spec_b)):
             count_a = int(np.sum(wa > s))
@@ -279,10 +282,6 @@ def preorder_violation(
             if count_a > count_b:
                 return {"s": s, "block": k, "count_a": count_a, "count_b": count_b}
     return None
-
-
-def preorder_leq(a, b, algebra: BlockAlgebra) -> bool:
-    return preorder_violation(a, b, algebra) is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from opjensen.convex_catalog import (
     ScalarFunction,
     catalog_names,
-    check_convex,
     check_operator_convex,
     find_convexity_violation,
     get_function,
@@ -98,7 +97,8 @@ def test_pickles_as_catalog_key():
 
 
 def test_check_convex_square():
-    assert check_convex(get_function("square"), Interval.closed(-5.0, 5.0), 2000, 1)
+    square = get_function("square")
+    assert find_convexity_violation(square, Interval.closed(-5.0, 5.0), 2000, 1) is None
 
 
 def test_check_convex_rejects_concave_with_witness():
@@ -110,7 +110,8 @@ def test_check_convex_rejects_concave_with_witness():
 
 
 def test_check_convex_abs_many_samples():
-    assert check_convex(get_function("abs"), Interval.closed(-1.0, 1.0), 10_000, 3)
+    f = get_function("abs")
+    assert find_convexity_violation(f, Interval.closed(-1.0, 1.0), 10_000, 3) is None
 
 
 def test_operator_convex_square_clean():
@@ -181,7 +182,7 @@ def test_catalog_metadata_agreement():
     for f in entries:
         lo = f.domain.lo if np.isfinite(f.domain.lo) else -2.0
         box = Interval.closed(lo + (0.1 if f.domain.lo_open else 0.0), lo + 3.0)
-        assert check_convex(f, box, 1000, 11) == f.is_convex
+        assert (find_convexity_violation(f, box, 1000, 11) is None) == f.is_convex
         if f.is_operator_convex:
             for dim in (2, 3, 4):
                 rep = check_operator_convex(f, dim, 150, 13)

@@ -260,6 +260,50 @@ def test_cli_check_rejects_bad_numbers():
                           "--seed", "7", "--trials", "3", "--tol", bad]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", [
+    "hinge:x",  # was a ValueError traceback, exit 1
+    "hinge:nan",  # was a numeric error, exit 3
+    "shifted_square:inf",
+])
+def test_cli_function_parameter_not_a_number(tmp_path, capsys, spec):
+    assert cli_entry(["check", "--name", "check_cfl", "--function", spec,
+                      "--trials", "2"]) == EXIT_USAGE
+    assert spec in capsys.readouterr().err
+    cfg = {"checks": ["check_cfl"], "trials": 2, "functions": [spec],
+           "out_path": str(tmp_path / "out.jsonl")}
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(cfg["out_path"])
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("check_partial_trace_duality", "--w2", "inf"),  # printed NaN, exit 1
+    ("check_main_tracial", "--w1", "nan"),  # exit 3
+    ("check_petz", "--w2", "nan"),
+])
+def test_cli_non_finite_weights(tmp_path, name, flag, value):
+    assert cli_entry(["check", "--name", name, "--trials", "2", "--function", "square",
+                      flag, value]) == EXIT_USAGE
+    w = float(value)
+    cfg = {"checks": [name], "trials": 2, "functions": ["square"],
+           "weights": [[w, 1.0] if flag == "--w1" else [1.0, w]],
+           "out_path": str(tmp_path / "out.jsonl")}
+    with pytest.raises(UsageError):
+        build_tasks(CampaignConfig.from_dict(cfg))
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(cfg["out_path"])
+
+
+def test_cli_unwritable_out_path(tmp_path, capsys):
+    # check and search ended in a FileNotFoundError traceback, exit 1
+    out = str(tmp_path / "missing" / "out.jsonl")
+    assert cli_entry(["check", "--name", "check_cfl", "--trials", "2", "--out", out]) == EXIT_USAGE
+    assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "2",
+                      "--out", out]) == EXIT_USAGE
+    assert _campaign_with(tmp_path, {"checks": ["check_cfl"], "trials": 2,
+                                     "out_path": out}) == EXIT_USAGE
+    assert "cannot write report file" in capsys.readouterr().err
+
+
 def _campaign_with(tmp_path, cfg) -> int:
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:

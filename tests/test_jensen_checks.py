@@ -107,7 +107,7 @@ def test_degenerate_spectra_across_checks():
             h, psd_sqrt(rho), f, SPACE22, (1.0, 1.0), "normalized"
         ).passed
     x = np.diag([2.0, 2.0, -1.0])
-    phi = random_positive_map("ucp_stinespring", 3, 2, 7)
+    phi = random_positive_map("ucp_stinespring", 3, 2, rng_stream(7))
     assert check_petz(phi, x, get_function("abs"), BlockAlgebra.single(2)).passed
     u = random_unitary(2, rng_stream(59))
     assert check_state_version(
@@ -177,22 +177,71 @@ def test_tracial_branch_hypothesis_errors():
         check_main_tracial(h, small, get_function("exp"), SPACE22, (1.0, 1.0), "subnormalized")
 
 
+def _close(a: float, b: float, rel: float = 1e-12) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+ACCEPTANCE_01_FUNCTIONS = [get_function("square"), get_function("abs"),
+                           get_function("quartic"), get_function("exp"),
+                           get_function("hinge", (0.0,))]
+
+
+def test_cfl_equals_main_tracial_bitwise_on_acceptance_grid():
+    # check_cfl is check_main_tracial at a = rho^(1/2) with unit weights
+    for d1 in (2, 3, 4):
+        for d2 in (2, 3, 4):
+            space = TensorSpace(d1, d2)
+            for k, f in enumerate(ACCEPTANCE_01_FUNCTIONS):
+                for s in range(3):
+                    inputs = CHECKS["check_cfl"].draw(
+                        {"d1": d1, "d2": d2, "function": f}, rng_stream(68, d1, d2, k, s))
+                    h, rho = inputs["H"], inputs["rho"]
+                    r_cfl = check_cfl(h, rho, f, space)
+                    r_tr = check_main_tracial(h, psd_sqrt(rho), f, space, (1.0, 1.0),
+                                              "normalized")
+                    assert (r_cfl.lhs, r_cfl.rhs) == (r_tr.lhs, r_tr.rhs), (d1, d2, f.label, s)
+
+
 def test_tracial_consistency_with_petz_via_compress_map():
-    # the normalized instance re-checked through the compression-slice map
-    rng = rng_stream(67)
-    w1, w2 = 0.3, 2.5
-    for s in range(10):
-        h = random_hermitian(6, rng)
-        g = complex_gaussian(rng, 2, 2)
-        a = g / np.sqrt(w1 * np.trace(g.conj().T @ g).real)
-        space = TensorSpace(2, 3)
-        f = get_function("abs")
-        r_tr = check_main_tracial(h, a, f, space, (w1, w2), "normalized")
-        phi = slice_compress_map(a, space, w1)
-        r_petz = check_petz(phi, h, f, BlockAlgebra.single(3, w2))
-        assert r_tr.passed and r_petz.passed
-        assert abs(r_tr.lhs - r_petz.lhs) <= 1e-10 * max(1.0, abs(r_tr.lhs))
-        assert abs(r_tr.rhs - r_petz.rhs) <= 1e-10 * max(1.0, abs(r_tr.rhs))
+    # the proof's reduction: the normalized instance re-checked as a Petz-type
+    # inequality for the compression-slice map
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        space = TensorSpace(*dims)
+        for w1, w2 in ((1.0, 1.0), (0.3, 2.5)):
+            for k, f in enumerate(ACCEPTANCE_01_FUNCTIONS):
+                rng = rng_stream(67, *dims, k, int(10 * w1))
+                for s in range(3):
+                    h = random_hermitian(space.total_dim, rng)
+                    g = complex_gaussian(rng, space.d1, space.d1)
+                    a = g / np.sqrt(w1 * np.trace(g.conj().T @ g).real)
+                    r_tr = check_main_tracial(h, a, f, space, (w1, w2), "normalized")
+                    phi = slice_compress_map(a, space, w1)
+                    r_petz = check_petz(phi, h, f, BlockAlgebra.single(space.d2, w2))
+                    assert r_tr.passed and r_petz.passed
+                    assert _close(r_tr.lhs, r_petz.lhs), (dims, w1, f.label, s)
+                    assert _close(r_tr.rhs, r_petz.rhs), (dims, w1, f.label, s)
+
+
+def test_tracial_subnormalized_needs_f0():
+    # f = c > 0 breaks only f(0) = 0: with tau_1(a* a) = scale^2 < 1 the sides
+    # are c w2 d2 and scale^2 c w2 d2, a gap of -(1 - scale^2) c w2 d2
+    c = 0.7
+    f = get_function("const", (c,))
+    for dims, (w1, w2) in (((2, 2), (1.0, 1.0)), ((2, 3), (0.3, 2.5)), ((3, 2), (1.0, 1.0))):
+        space = TensorSpace(*dims)
+        rng = rng_stream(69, *dims)
+        for scale in (0.2, 0.6, 0.9):
+            h = random_hermitian(space.total_dim, rng)
+            g = complex_gaussian(rng, space.d1, space.d1)
+            a = scale * g / np.sqrt(w1 * np.trace(g.conj().T @ g).real)
+            with pytest.raises(HypothesisError):
+                check_main_tracial(h, a, f, space, (w1, w2), "subnormalized")
+            rep = check_main_tracial(h, a, f, space, (w1, w2), "subnormalized",
+                                     enforce_hypotheses=False)
+            norm_sq = w1 * np.trace(a.conj().T @ a).real
+            expected = -(1.0 - norm_sq) * c * w2 * space.d2
+            assert not rep.passed
+            assert _close(rep.gap, expected), (dims, scale, rep.gap, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +269,7 @@ def test_petz_transpose_batch():
 def test_petz_zero_map_f0_violation_is_exact():
     # f(0) = 1 and the zero map: lhs = n, rhs = 0 exactly
     n = 3
-    phi = random_positive_map("zero", n, n, 0)
+    phi = random_positive_map("zero", n, n, rng_stream(0))
     x = random_hermitian(n, rng_stream(70))
     f = get_function("shifted_square", (1.0,))
     rep = check_petz(phi, x, f, BlockAlgebra.single(n, 1.0), enforce_hypotheses=False)
@@ -230,7 +279,7 @@ def test_petz_zero_map_f0_violation_is_exact():
 
 
 def test_petz_zero_map_needs_f0_hypothesis():
-    phi = random_positive_map("zero", 2, 2, 0)
+    phi = random_positive_map("zero", 2, 2, rng_stream(0))
     x = random_hermitian(2, rng_stream(71))
     with pytest.raises(HypothesisError):
         check_petz(phi, x, get_function("shifted_square", (1.0,)), BlockAlgebra.single(2))
@@ -576,6 +625,21 @@ def test_hansen_pedersen_quartic_negative_control():
         if not rep.passed:
             violations += 1
     assert violations > 0
+
+
+def test_hansen_pedersen_needs_f0_nonpositive():
+    # f(t) = t^2 + 1 breaks only f(0) <= 0: a = 0 compresses H to 0, so
+    # f(0) = 1 stands against (a* x 1) f(H) (a x 1) = 0 and lambda_min = -1
+    f = get_function("shifted_square", (1.0,))
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        space = TensorSpace(*dims)
+        h = random_hermitian(space.total_dim, rng_stream(70, *dims))
+        a = np.zeros((space.d1, space.d1))
+        with pytest.raises(HypothesisError):
+            check_hansen_pedersen(h, a, f, space)
+        rep = check_hansen_pedersen(h, a, f, space, enforce_hypotheses=False)
+        assert not rep.passed
+        assert _close(rep.gap, -1.0)
 
 
 def test_hansen_pedersen_rejects_positive_f0_contraction():

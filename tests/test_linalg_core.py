@@ -16,8 +16,10 @@ from opjensen.linalg_core import (
     kron,
     matrix_function,
     opnorm,
+    random_contraction,
+    random_density,
     random_hermitian,
-    random_instance,
+    random_l2_normalized,
     random_stream,
     random_unitary,
     rng_stream,
@@ -259,7 +261,7 @@ def test_kron_mixed_product_and_associativity():
 
 def test_random_density_properties():
     for s in range(100):
-        rho = random_instance("density", 2, s)
+        rho = random_density(2, rng_stream(s))
         w = hermitian_eig(rho).eigenvalues
         assert w[0] >= -1e-12
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
@@ -267,31 +269,31 @@ def test_random_density_properties():
 
 def test_random_contraction_norm():
     for s in range(100):
-        a = random_instance("contraction", 3, s)
+        a = random_contraction(3, rng_stream(s))
         assert np.linalg.norm(a, 2) < 1.0
 
 
 def test_random_unitary_unitarity():
-    u = random_instance("unitary", 4, 5)
+    u = random_unitary(4, rng_stream(5))
     assert frob(u.conj().T @ u - np.eye(4)) <= 1e-12
 
 
 def test_random_l2_normalized_weighted():
-    a = random_instance("l2_normalized", 3, 11, weight=0.3)
+    a = random_l2_normalized(3, rng_stream(11), 0.3)
     assert abs(0.3 * np.trace(a.conj().T @ a).real - 1.0) <= 1e-12
 
 
 def test_random_instance_deterministic():
-    a = random_instance("hermitian", 4, 123)
-    b = random_instance("hermitian", 4, 123)
+    a = random_hermitian(4, rng_stream(123))
+    b = random_hermitian(4, rng_stream(123))
     assert np.array_equal(a, b)
-    c = random_instance("hermitian", 4, 124)
+    c = random_hermitian(4, rng_stream(124))
     assert not np.array_equal(a, c)
 
 
 def test_random_instance_dim_zero_raises():
     with pytest.raises(DimensionError):
-        random_instance("hermitian", 0, 1)
+        random_hermitian(0, rng_stream(1))
 
 
 def test_custom_scalar_function_domain():

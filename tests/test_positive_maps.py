@@ -10,7 +10,7 @@ from opjensen.linalg_core import (
     hermitian_eig,
     kron,
     random_hermitian,
-    random_instance,
+    random_l2_normalized,
     rng_stream,
 )
 from opjensen.positive_maps import (
@@ -50,7 +50,7 @@ def test_transpose_map_action():
 
 def test_apply_map_hermiticity_preserving():
     for kind in MAP_KINDS:
-        phi = random_positive_map(kind, 3, 2, 11)
+        phi = random_positive_map(kind, 3, 2, rng_stream(11))
         h = random_hermitian(3, rng_stream(4))
         out = apply_map(phi, h)
         assert frob(out - out.conj().T) <= 1e-11 * max(1.0, frob(out))
@@ -69,7 +69,7 @@ def test_apply_map_dimension_mismatch():
 def test_slice_compress_unitality():
     space = TensorSpace(3, 2)
     w1 = 0.3
-    a = random_instance("l2_normalized", 3, 7, weight=w1)
+    a = random_l2_normalized(3, rng_stream(7), w1)
     phi = slice_compress_map(a, space, w1)
     assert phi.claimed_unital
     assert frob(phi.on_identity() - np.eye(2)) <= 1e-10
@@ -111,12 +111,12 @@ def test_slice_compress_matches_partial_trace_composition():
 
 def test_ucp_stinespring_unital_many_seeds():
     for s in range(100):
-        phi = random_positive_map("ucp_stinespring", 3, 2, s)
+        phi = random_positive_map("ucp_stinespring", 3, 2, rng_stream(s))
         assert frob(phi.on_identity() - np.eye(2)) <= 1e-10
 
 
 def test_transpose_positive_but_not_cp():
-    tp = random_positive_map("transpose", 2, 2, 0)
+    tp = random_positive_map("transpose", 2, 2, rng_stream(0))
     flags = map_flags(tp, trials=25, seed=1)
     assert flags.unital and flags.contractive and flags.positivity_sampled
     choi = choi_matrix(tp)
@@ -125,13 +125,13 @@ def test_transpose_positive_but_not_cp():
 
 
 def test_ucp_choi_is_psd():
-    phi = random_positive_map("ucp_stinespring", 2, 3, 5)
+    phi = random_positive_map("ucp_stinespring", 2, 3, rng_stream(5))
     w = hermitian_eig(choi_matrix(phi)).eigenvalues
     assert w[0] >= -1e-10
 
 
 def test_zero_map_flags():
-    phi = random_positive_map("zero", 3, 3, 0)
+    phi = random_positive_map("zero", 3, 3, rng_stream(0))
     x = random_hermitian(3, rng_stream(12))
     assert np.allclose(apply_map(phi, x), 0.0)
     flags = map_flags(phi)
@@ -140,14 +140,14 @@ def test_zero_map_flags():
 
 def test_scaled_contractive_flags_many_seeds():
     for s in range(40):
-        phi = random_positive_map("scaled_contractive", 3, 2, s)
+        phi = random_positive_map("scaled_contractive", 3, 2, rng_stream(s))
         flags = map_flags(phi, trials=4, seed=s)
         assert flags.contractive and flags.positivity_sampled
         assert not flags.unital
 
 
 def test_pinching_map_flags():
-    phi = random_positive_map("pinching", 4, 4, 9)
+    phi = random_positive_map("pinching", 4, 4, rng_stream(9))
     flags = map_flags(phi, trials=10, seed=2)
     assert flags.unital and flags.contractive and flags.positivity_sampled
     x = random_hermitian(4, rng_stream(13))
@@ -159,7 +159,7 @@ def test_contractivity_iff_identity_image_dominated():
     # for positive maps: contractive exactly when Phi(1) <= 1
     for kind in MAP_KINDS:
         for s in (0, 1):
-            phi = random_positive_map(kind, 2, 2, s)
+            phi = random_positive_map(kind, 2, 2, rng_stream(s))
             flags = map_flags(phi, trials=4, seed=s)
             lam_max = float(hermitian_eig(phi.on_identity()).eigenvalues[-1])
             assert flags.contractive == (lam_max <= 1.0 + 1e-10)
@@ -178,4 +178,4 @@ def test_positive_map_requires_exactly_one_rep():
 
 def test_unknown_kind():
     with pytest.raises(ValueError):
-        random_positive_map("bogus", 2, 2, 0)
+        random_positive_map("bogus", 2, 2, rng_stream(0))

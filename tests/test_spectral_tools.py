@@ -20,7 +20,6 @@ from opjensen.spectral_tools import (
     kaplansky_verify,
     monotone_sign_split,
     pinching,
-    preorder_leq,
     preorder_violation,
     projection_rank,
     singular_value_function,
@@ -183,9 +182,9 @@ def test_singular_value_integral_equals_weighted_trace():
 
 def test_preorder_examples():
     alg = BlockAlgebra.single(2)
-    assert preorder_leq(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]), alg)
+    assert preorder_violation(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]), alg) is None
     h = random_hermitian(2, rng_stream(4))
-    assert preorder_leq(h, h, alg)
+    assert preorder_violation(h, h, alg) is None
     assert preorder_violation(np.diag([2.0, 0.0]), h, alg, b_decomp=hermitian_eig(h)) == \
         preorder_violation(np.diag([2.0, 0.0]), h, alg)
     bad = preorder_violation(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]), alg)
@@ -197,8 +196,8 @@ def test_preorder_blockwise():
     # globally fine but fails in the first block at s between 1 and 2
     a = np.diag([2.0, 0.0])
     b = np.diag([1.0, 5.0])
-    assert not preorder_leq(a, b, alg)
-    assert preorder_leq(np.diag([1.0, 4.0]), b, alg)
+    assert preorder_violation(a, b, alg) is not None
+    assert preorder_violation(np.diag([1.0, 4.0]), b, alg) is None
     # a decomposition of the whole of b is not its block spectra here
     assert preorder_violation(a, b, alg, b_decomp=hermitian_eig(b)) == \
         preorder_violation(a, b, alg)
@@ -213,7 +212,7 @@ def test_preorder_soundness_for_traces():
         g2 = complex_gaussian(rng, 3, 3)
         a = g1 @ g1.conj().T
         b = g2 @ g2.conj().T
-        if preorder_leq(a, b, alg):
+        if preorder_violation(a, b, alg) is None:
             assert alg.trace(a) <= alg.trace(b) + 1e-9 * max(1.0, alg.trace(b))
 
 

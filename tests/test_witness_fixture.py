@@ -1,14 +1,22 @@
 """Recorded failure witnesses, one per check, replay and re-encode unchanged.
 
-`data/witnesses.jsonl` holds one failing report line per check. Six come
+`data/witnesses.jsonl` holds one failing report line per check. Four come
 from `run_trial(name, cells[t % len(cells)], 7, t, ToleranceConfig(0, 0,
 1e-10))` over the `default_campaign()` cells, at the first failing trial
-(petz 215, vector_jensen 39, preorder 2, pinching 0, duality 1,
-hansen_pedersen 3): with zero tolerance, rounding alone decides them. The
-other three are direct calls with one hypothesis broken and
-`enforce_hypotheses=False`: `check_cfl` with a trace-2 `rho` and `square`,
-`check_main_tracial` with `exp` on the subnormalized branch, and
-`check_state_version` with `exp`, which is not operator convex.
+(vector_jensen 39, pinching 0, duality 1, hansen_pedersen 3): with zero
+tolerance, rounding alone decides them, so they pin this eigensolver's
+rounding. The other five are direct calls with one hypothesis broken and
+`enforce_hypotheses=False`, failing far beyond any rounding:
+  * `check_cfl` with a trace-2 `rho` and `square`;
+  * `check_main_tracial` with `exp` on the subnormalized branch;
+  * `check_state_version` with `exp`, which is not operator convex;
+  * `check_petz` with the zero map on M_2 and `shifted_square:1`, where
+    f(0) = 1: lhs 2, rhs 0, a gap of exactly -2;
+  * `check_spectral_preorder_lemma` with `_nonpositive_unital_map(2,
+    rng_stream(17))`, the next `random_hermitian(2, ...)` draw as x,
+    `square` and a piece enclosing the whole spectrum of Phi(x): Phi(x^2) has
+    eigenvalue -0.805, so both the compressed positivity and the pre-order
+    assertion fail.
 """
 
 import json
