@@ -37,6 +37,7 @@ from .linalg_core import (
     SpectralDecomposition,
     ToleranceConfig,
     hermitian_eig,
+    hermitian_eigvals,
     kron,
     matrix_function,
     rng_stream,

@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .convex_catalog import ScalarFunction, parse_function_spec
 from .errors import (
@@ -72,6 +72,13 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _refuse_unknown_keys(obj: dict, cls, where: str) -> None:
+    """Raise if obj has a key that is not a field of the dataclass cls."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} {where}")
+
+
 def _pairs(entries, convert, what: str) -> list[tuple]:
     """Config entries that must each be a two-element list."""
     out = []
@@ -99,9 +106,11 @@ class CampaignConfig:
         if not isinstance(obj, dict):
             raise UsageError("malformed campaign config: the top level must be a JSON object")
         try:
+            _refuse_unknown_keys(obj, cls, "at the top level")
             tol_obj = obj.get("tolerances", {})
             if not isinstance(tol_obj, dict):
                 raise TypeError("'tolerances' must be a JSON object")
+            _refuse_unknown_keys(tol_obj, ToleranceConfig, "in 'tolerances'")
             return cls(
                 checks=list(obj["checks"]),
                 trials=_integer(obj.get("trials", 100), "trials"),

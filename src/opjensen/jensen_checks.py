@@ -56,6 +56,7 @@ from .linalg_core import (
     complex_gaussian,
     frob,
     hermitian_eig,
+    hermitian_eigvals,
     hermitize,
     matrix_function,
     opnorm,
@@ -475,12 +476,11 @@ def check_spectral_preorder_lemma(
     failed: list[str] = []
     detail: dict = {}
     if sign >= 0:
-        dec_b = hermitian_eig(b_side)
-        lam_min = float(dec_b.eigenvalues[0])
+        lam_min = float(hermitian_eigvals(b_side)[0])
         if lam_min < -tol.bound(opnorm(b_side)):
             failed.append("compressed_positivity")
             detail["min_eigenvalue"] = lam_min
-        bad = preorder_violation(a_side, b_side, algebra, tol, b_decomp=dec_b)
+        bad = preorder_violation(a_side, b_side, algebra, tol)
         if bad is not None:
             failed.append("preorder_nonnegative_piece")
             detail["preorder"] = bad
@@ -638,7 +638,7 @@ def check_state_version(
         for name, dm, dim in (("rho1", d1_m, space.d1), ("rho2", d2_m, space.d2)):
             if dm.shape != (dim, dim):
                 raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
-            w = hermitian_eig(dm).eigenvalues
+            w = hermitian_eigvals(dm)
             if w[0] <= 0.0:
                 raise HypothesisError(f"{name} must be faithful (min eigenvalue > 0)")
             if abs(float(np.sum(w)) - 1.0) > _HYPOTHESIS_SLACK:
@@ -700,7 +700,7 @@ def check_hansen_pedersen(
     compressed = symmetrize(conjugate_compress(Hm, am, space))
     lhs_mat = matrix_function(compressed, f)
     diff = symmetrize(conjugate_compress(fH, am, space)) - lhs_mat
-    lam_min = float(hermitian_eig(diff).eigenvalues[0])
+    lam_min = float(hermitian_eigvals(diff)[0])
     tol_val = tol.bound(opnorm(fH))
     passed = lam_min >= -tol_val
     params = {
@@ -727,7 +727,7 @@ def _fit_spectrum(h: np.ndarray, f: ScalarFunction) -> np.ndarray:
     dom = f.domain
     if not math.isfinite(dom.lo):
         return h
-    w_min = float(hermitian_eig(h).eigenvalues[0])
+    w_min = float(hermitian_eigvals(h)[0])
     target = dom.lo + 0.5
     if w_min >= target:
         return h

@@ -1,8 +1,11 @@
 """Dense complex matrix arithmetic.
 
-Hermitian eigendecomposition (cyclic complex Jacobi), spectral functional
-calculus, Kronecker products, and seeded random generators for every kind of
-test object the verification campaigns consume.
+Hermitian eigendecomposition (cyclic complex Jacobi), Hermitian spectra
+(LAPACK, through `np.linalg.eigvalsh`), spectral functional calculus,
+Kronecker products, and seeded random generators for every kind of test
+object the verification campaigns consume. A query that needs only the
+spectrum uses LAPACK; a full decomposition (eigenvectors too) still uses
+Jacobi.
 
 Conventions fixed project-wide:
   * the FIRST tensor factor is the slow (outer) index;
@@ -230,6 +233,20 @@ def hermitian_eig(m) -> SpectralDecomposition:
     h = hermitize(m)
     w, v = _jacobi(h)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """Eigenvalues of a self-adjoint matrix, ascending, by LAPACK.
+
+    For queries that read only the spectrum. The input is symmetrized and
+    checked exactly as by `hermitian_eig`; a LAPACK convergence failure is
+    a NumericError.
+    """
+    h = hermitize(m)
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LAPACK eigvalsh failed: {exc}") from None
 
 
 def matrix_function(

@@ -18,7 +18,7 @@ from .linalg_core import (
     as_complex,
     complex_gaussian,
     frob,
-    hermitian_eig,
+    hermitian_eigvals,
     kron,
     random_unitary,
     rng_stream,
@@ -100,7 +100,7 @@ class PositiveMap:
         """
         one_img = self.on_identity()
         unital = frob(one_img - np.eye(self.out_dim)) <= _FLAG_TOL
-        lam_max = float(hermitian_eig(one_img).eigenvalues[-1])
+        lam_max = float(hermitian_eigvals(one_img)[-1])
         return unital, lam_max <= 1.0 + _FLAG_TOL
 
 
@@ -271,7 +271,7 @@ def map_flags(phi: PositiveMap, trials: int = 16, seed: int = 0) -> MapFlags:
     for _ in range(trials):
         g = complex_gaussian(rng, phi.in_dim, phi.in_dim)
         x = g @ g.conj().T
-        w = hermitian_eig(symmetrize(apply_map(phi, x))).eigenvalues
+        w = hermitian_eigvals(symmetrize(apply_map(phi, x)))
         if w[0] < -_FLAG_TOL * max(1.0, float(np.max(np.abs(w)))):
             positive = False
             break

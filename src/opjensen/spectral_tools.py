@@ -28,6 +28,7 @@ from .linalg_core import (
     as_complex,
     frob,
     hermitian_eig,
+    hermitian_eigvals,
     require_square,
 )
 from .tensor_ops import BlockAlgebra
@@ -230,14 +231,9 @@ def singular_value_function(x, algebra: BlockAlgebra) -> StepFunction:
 # Spectral pre-order
 # ---------------------------------------------------------------------------
 
-def _block_spectra(
-    x, algebra: BlockAlgebra, decomp: SpectralDecomposition | None = None
-) -> list[np.ndarray]:
-    """Eigenvalues of each block of x. A decomposition of the whole of x is
-    that of its one block when the algebra has a single block."""
-    if decomp is not None and algebra.n_blocks == 1:
-        return [decomp.eigenvalues]
-    return [hermitian_eig(blk).eigenvalues for blk in algebra.blocks(x)]
+def _block_spectra(x, algebra: BlockAlgebra) -> list[np.ndarray]:
+    """Eigenvalues of each block of x."""
+    return [hermitian_eigvals(blk) for blk in algebra.blocks(x)]
 
 
 def _preorder_s_grid(spectra: list[np.ndarray], cluster_tol: float) -> list[float]:
@@ -261,19 +257,16 @@ def preorder_violation(
     b,
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
-    b_decomp: SpectralDecomposition | None = None,
 ) -> dict | None:
     """First witness of a failure of the spectral pre-order a <~ b, or None.
 
     a <~ b holds when, for every level s and every block k, the number of
     eigenvalues of a_k above s does not exceed the number for b_k; in a
     direct sum of matrix factors, Murray-von Neumann subequivalence of the
-    spectral projections is exactly this blockwise rank inequality. A
-    precomputed decomposition of b skips its eigensolve on a one-block
-    algebra.
+    spectral projections is exactly this blockwise rank inequality.
     """
     spec_a = _block_spectra(a, algebra)
-    spec_b = _block_spectra(b, algebra, b_decomp)
+    spec_b = _block_spectra(b, algebra)
     ctol = _cluster_tol(np.concatenate(spec_a + spec_b), tol)
     for s in _preorder_s_grid(spec_a + spec_b, ctol):
         for k, (wa, wb) in enumerate(zip(spec_a, spec_b)):

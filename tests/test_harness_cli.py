@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -347,6 +349,39 @@ def test_cli_campaign_rejects_malformed_numbers(tmp_path, field, value):
         CampaignConfig.from_dict(cfg)
     assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
     assert not os.path.exists(cfg["out_path"])
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"checks": ["check_cfl"], "trails": 5}, "'trails'"),
+    ({"checks": ["check_cfl"], "trials": 5, "tolerances": {"atl": 1.0}}, "'atl'"),
+])
+def test_cli_campaign_rejects_unknown_keys(tmp_path, capsys, cfg, key):
+    # a misspelt key was ignored: 100 trials at atol 1e-9 ran without error
+    cfg = dict(cfg, out_path=str(tmp_path / "out.jsonl"))
+    with pytest.raises(UsageError, match=key):
+        CampaignConfig.from_dict(cfg)
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_path"])
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = str(tmp_path / "out.jsonl")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPJENSEN_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "opjensen", "check", "--name", "check_cfl", "--trials", "3",
+         "--out", out],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert len(open(out).read().splitlines()) == 3
+    bad = subprocess.run([sys.executable, "-m", "opjensen", "bogus"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == EXIT_USAGE
 
 
 def test_cli_check_branch_needing_f0(capsys):

@@ -13,6 +13,7 @@ from opjensen.linalg_core import (
     complex_gaussian,
     frob,
     hermitian_eig,
+    hermitian_eigvals,
     kron,
     matrix_function,
     opnorm,
@@ -114,6 +115,51 @@ def test_eig_rejects_non_square():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _eigvals_cases():
+    """Random, repeated-eigenvalue, rank-deficient, zero and 1x1 inputs."""
+    rng = rng_stream(419)
+    cases = [random_hermitian(int(d), rng) for d in rng.integers(2, 13, size=40)]
+    for spectrum in ([1.0, 1.0, 2.0, 2.0, 2.0], [-3.0] * 4, [0.5, 0.5, 0.5 + 1e-13, 7.0]):
+        u = random_unitary(len(spectrum), rng)
+        cases.append((u * spectrum) @ u.conj().T)
+    for d, rank in ((4, 1), (5, 2), (6, 3)):
+        g = complex_gaussian(rng, d, rank)
+        cases.append(g @ g.conj().T)
+    cases += [np.zeros((3, 3)), np.zeros((1, 1)), np.array([[-2.5]]),
+              random_hermitian(1, rng)]
+    return cases
+
+
+def test_eigvals_equal_eig_spectrum():
+    for m in _eigvals_cases():
+        w = hermitian_eigvals(m)
+        assert w.dtype == np.float64 and w.shape == (m.shape[0],)
+        assert np.all(np.diff(w) >= 0)
+        ref = hermitian_eig(m).eigenvalues
+        assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, frob(m))
+
+
+@pytest.mark.parametrize("m, error", [
+    (np.ones((2, 3)), DimensionError),
+    (np.ones(3), DimensionError),
+    (np.ones((2, 2, 2)), DimensionError),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NonHermitianError),
+    (np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]), NonHermitianError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), NumericError),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), NumericError),
+    (np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]]), None),  # float dust is symmetrized
+    (np.zeros((0, 0)), None),
+])
+def test_eigvals_raise_where_eig_raises(m, error):
+    if error is None:
+        assert np.allclose(hermitian_eigvals(m), hermitian_eig(m).eigenvalues,
+                           rtol=0, atol=1e-12)
+        return
+    for solver in (hermitian_eig, hermitian_eigvals):
+        with pytest.raises(error):
+            solver(m)
 
 
 def test_matrix_function_square_of_pauli_x():

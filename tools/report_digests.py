@@ -7,6 +7,10 @@ printed lines to show that a change leaves the report bytes as they were:
     the JSONL reports and the CSV summary;
   * the acceptance-01 CFL campaign axes with 225 trials, master seed 101,
     at jobs 2;
+  * next to each campaign, its verdicts: the sha256 of one `P` or `F` per
+    report, in report order. A change that moves report bytes on purpose
+    (new rounding, say) shows with an unchanged verdicts digest that no
+    trial's pass/fail flipped;
   * the ablation lines: for each of `ABLATION_TARGETS`,
     `ablation_search(target, 12, [2, 3, 4], 1)`, written as the witness's
     `to_json_line()`, or `repr(max_violation)` when there is no witness,
@@ -20,6 +24,7 @@ promised to be identical across CPUs, only from run to run on one machine.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -45,11 +50,18 @@ def _file_sha256(path: str) -> str:
         return _sha256(fh.read())
 
 
+def _verdicts_sha256(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        verdicts = "".join("P" if json.loads(line)["pass"] else "F" for line in fh if line.strip())
+    return _sha256(verdicts.encode("ascii"))
+
+
 def _campaign(label: str, config: CampaignConfig, jobs: int, out_dir: str) -> None:
     config.out_path = os.path.join(out_dir, "reports.jsonl")
     run_campaign(config, jobs=jobs)
-    print(f"{label} jobs={jobs} jsonl {_file_sha256(config.out_path)}")
-    print(f"{label} jobs={jobs} csv   {_file_sha256(_csv_path_for(config.out_path))}")
+    print(f"{label} jobs={jobs} jsonl    {_file_sha256(config.out_path)}")
+    print(f"{label} jobs={jobs} csv      {_file_sha256(_csv_path_for(config.out_path))}")
+    print(f"{label} jobs={jobs} verdicts {_verdicts_sha256(config.out_path)}")
 
 
 def _cfl_campaign() -> CampaignConfig:
