@@ -47,6 +47,10 @@ class ScalarFunction:
     is_convex: bool
     is_operator_convex: bool
     vanishes_at_zero: bool
+    # Coefficients, lowest degree first, when fn is this polynomial on the
+    # whole real line; matrix_function then skips the eigensolve. Leave None
+    # on a smaller domain: its domain check needs the spectrum.
+    poly: tuple[float, ...] | None = None
 
     def __call__(self, t: float) -> float:
         return float(self.fn(t))
@@ -72,7 +76,9 @@ def _entropy(t: float) -> float:
 
 
 def _make_square(params):
-    return ScalarFunction("square", (), lambda t: t * t, REAL_LINE, True, True, True)
+    return ScalarFunction(
+        "square", (), lambda t: t * t, REAL_LINE, True, True, True, poly=(0.0, 0.0, 1.0)
+    )
 
 
 def _make_abs(params):
@@ -80,7 +86,10 @@ def _make_abs(params):
 
 
 def _make_quartic(params):
-    return ScalarFunction("quartic", (), lambda t: t ** 4, REAL_LINE, True, False, True)
+    return ScalarFunction(
+        "quartic", (), lambda t: t ** 4, REAL_LINE, True, False, True,
+        poly=(0.0, 0.0, 0.0, 0.0, 1.0),
+    )
 
 
 def _make_exp(params):
@@ -101,7 +110,7 @@ def _make_shifted_square(params):
     c = float(params[0])
     return ScalarFunction(
         "shifted_square", (c,), lambda t: t * t + c, REAL_LINE, True, True,
-        vanishes_at_zero=(c == 0.0),
+        vanishes_at_zero=(c == 0.0), poly=(c, 0.0, 1.0),
     )
 
 
@@ -134,7 +143,9 @@ def _make_power(params):
 
 def _make_linear(params):
     alpha = float(params[0]) if params else 1.0
-    return ScalarFunction("linear", (alpha,), lambda t: alpha * t, REAL_LINE, True, True, True)
+    return ScalarFunction(
+        "linear", (alpha,), lambda t: alpha * t, REAL_LINE, True, True, True, poly=(0.0, alpha)
+    )
 
 
 def _make_const(params):
@@ -142,7 +153,8 @@ def _make_const(params):
         raise UnknownFunctionError("const needs a value parameter c")
     c = float(params[0])
     return ScalarFunction(
-        "const", (c,), lambda t: c, REAL_LINE, True, True, vanishes_at_zero=(c == 0.0)
+        "const", (c,), lambda t: c, REAL_LINE, True, True, vanishes_at_zero=(c == 0.0),
+        poly=(c,),
     )
 
 

@@ -476,8 +476,10 @@ def check_spectral_preorder_lemma(
     failed: list[str] = []
     detail: dict = {}
     if sign >= 0:
-        lam_min = float(hermitian_eigvals(b_side)[0])
-        if lam_min < -tol.bound(opnorm(b_side)):
+        w = hermitian_eigvals(b_side)
+        lam_min = float(w[0])
+        # b_side is self-adjoint, so its operator norm is max(|w[0]|, |w[-1]|)
+        if lam_min < -tol.bound(lam_min, float(w[-1])):
             failed.append("compressed_positivity")
             detail["min_eigenvalue"] = lam_min
         bad = preorder_violation(a_side, b_side, algebra, tol)

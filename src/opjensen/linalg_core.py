@@ -1,11 +1,12 @@
 """Dense complex matrix arithmetic.
 
 Hermitian eigendecomposition (cyclic complex Jacobi), Hermitian spectra
-(LAPACK, through `np.linalg.eigvalsh`), spectral functional calculus,
-Kronecker products, and seeded random generators for every kind of test
-object the verification campaigns consume. A query that needs only the
-spectrum uses LAPACK; a full decomposition (eigenvectors too) still uses
-Jacobi.
+(LAPACK, through `np.linalg.eigvalsh`), functional calculus, Kronecker
+products, and seeded random generators for every kind of test object the
+verification campaigns consume. A query that needs only the spectrum uses
+LAPACK; a full decomposition (eigenvectors too) still uses Jacobi. A
+polynomial function (one whose `poly` coefficients are set) is evaluated as
+a matrix polynomial and skips the eigensolver.
 
 Conventions fixed project-wide:
   * the FIRST tensor factor is the slow (outer) index;
@@ -254,14 +255,30 @@ def matrix_function(
     f: "ScalarFunction",
     decomp: SpectralDecomposition | None = None,
 ) -> np.ndarray:
-    """Spectral functional calculus: U f(Lambda) U* for self-adjoint m.
+    """Functional calculus f(m) for self-adjoint m, exactly self-adjoint.
 
-    Every eigenvalue must lie in f's domain; eigenvalues within float dust
-    (1e-12 relative) of a closed endpoint are clamped onto it. Passing a
-    precomputed decomposition skips the eigensolve.
+    A polynomial f (one with `f.poly`, defined on the whole real line) is
+    evaluated as the matrix polynomial of (m + m*)/2, with no eigensolve.
+    Otherwise f(m) = U f(Lambda) U*: every eigenvalue must lie in f's
+    domain, and eigenvalues within float dust (1e-12 relative) of a closed
+    endpoint are clamped onto it. Passing a precomputed decomposition takes
+    the spectral route on it and skips the eigensolve.
     """
+    if decomp is None and f.poly is not None:
+        return _polynomial(hermitize(m), f.poly)
     dec = decomp if decomp is not None else hermitian_eig(m)
     return dec.with_eigenvalues([f(_fit_to_domain(t, f)) for t in dec.eigenvalues.tolist()])
+
+
+def _polynomial(h: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """sum_k coeffs[k] h^k by Horner's rule (coefficients lowest degree
+    first), symmetrized to (P + P*)/2 as `with_eigenvalues` does."""
+    out = np.zeros_like(h)
+    np.einsum("ii->i", out)[:] = coeffs[-1]  # a writable view of the diagonal
+    for c in reversed(coeffs[:-1]):
+        out = out @ h
+        np.einsum("ii->i", out)[:] += c
+    return 0.5 * (out + out.conj().T)
 
 
 def _fit_to_domain(t: float, f: "ScalarFunction") -> float:

@@ -14,7 +14,7 @@ from opjensen.convex_catalog import (
     parse_function_spec,
 )
 from opjensen.errors import UnknownFunctionError
-from opjensen.intervals import Interval
+from opjensen.intervals import REAL_LINE, Interval
 from opjensen.linalg_core import (
     hermitian_eig,
     matrix_function,
@@ -94,6 +94,38 @@ def test_pickles_as_catalog_key():
         g = pickle.loads(pickle.dumps(f))
         assert (g.label, g.domain, g.is_operator_convex, g.vanishes_at_zero, g(0.7)) == \
             (f.label, f.domain, f.is_operator_convex, f.vanishes_at_zero, f(0.7))
+
+
+# Parameters to instantiate each parametrized catalog entry with.
+_PARAM_SAMPLES = {
+    "hinge": [(0.0,), (0.5,)],
+    "shifted_square": [(-1.0,), (0.0,), (2.5,)],
+    "power": [(1.5,), (2.0,), (3.0,)],
+    "linear": [(1.0,), (-0.75,), (0.0,)],
+    "const": [(0.7,), (-3.0,), (0.0,)],
+}
+
+
+def test_poly_coefficients_agree_with_scalar_function():
+    # only functions on the whole real line carry coefficients, and there the
+    # polynomial is the function
+    grid = np.linspace(-5.0, 5.0, 1001).tolist()
+    carriers = set()
+    for name in catalog_names():
+        for params in _PARAM_SAMPLES.get(name, [()]):
+            f = get_function(name, params)
+            if f.poly is None:
+                continue
+            carriers.add(name)
+            assert f.domain == REAL_LINE, f.label
+            assert all(isinstance(c, float) for c in f.poly)
+            for t in grid:
+                value = 0.0
+                for c in reversed(f.poly):
+                    value = value * t + c
+                assert abs(f(t) - value) <= 1e-14 * abs(f(t)), (f.label, t)
+    assert carriers == {"square", "quartic", "shifted_square", "linear", "const"}
+    assert get_function("power", (2.0,)).poly is None  # its domain check must run
 
 
 def test_check_convex_square():

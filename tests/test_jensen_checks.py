@@ -681,6 +681,13 @@ def test_ablation_petz_drop_f0_guaranteed():
     assert abs(res.witness.gap + n) <= 1e-12
 
 
+def test_ablation_petz_drop_f0_gap_is_exactly_minus_n():
+    # f(0) I = I exactly on the zero map's image, so the gap carries no rounding
+    for seed in (1, 2, 3):
+        res = ablation_search("petz_drop_f0", 3, [2, 3, 4], seed)
+        assert res.witness.gap == -res.witness.params["d2"]
+
+
 def test_ablation_exploratory_targets_run():
     for target in ("state_drop_opconvex", "drop_positivity", "drop_contractive"):
         res = ablation_search(target, 6, [2], 3)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from opjensen.convex_catalog import ScalarFunction, get_function
+from opjensen import linalg_core
+from opjensen.convex_catalog import ScalarFunction, get_function, parse_function_spec
 from opjensen.errors import DimensionError, DomainError, NonHermitianError, NumericError
 from opjensen.intervals import Interval, REAL_LINE
 from opjensen.linalg_core import (
+    SpectralDecomposition,
     as_complex,
     complex_gaussian,
     frob,
@@ -141,7 +143,7 @@ def test_eigvals_equal_eig_spectrum():
         assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, frob(m))
 
 
-@pytest.mark.parametrize("m, error", [
+_MISUSE_CASES = [
     (np.ones((2, 3)), DimensionError),
     (np.ones(3), DimensionError),
     (np.ones((2, 2, 2)), DimensionError),
@@ -151,7 +153,10 @@ def test_eigvals_equal_eig_spectrum():
     (np.array([[np.inf, 0.0], [0.0, 1.0]]), NumericError),
     (np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]]), None),  # float dust is symmetrized
     (np.zeros((0, 0)), None),
-])
+]
+
+
+@pytest.mark.parametrize("m, error", _MISUSE_CASES)
 def test_eigvals_raise_where_eig_raises(m, error):
     if error is None:
         assert np.allclose(hermitian_eigvals(m), hermitian_eig(m).eigenvalues,
@@ -224,6 +229,83 @@ def test_matrix_function_clamps_closed_endpoint_dust():
 def test_matrix_function_rejects_beyond_endpoint_dust():
     with pytest.raises(DomainError):
         matrix_function(np.diag([-1e-6, 1.0]), get_function("power", (1.5,)))
+
+
+# Catalog functions with coefficients, several parameters each.
+_POLY_SPECS = (
+    "square", "quartic", "shifted_square:-1", "shifted_square:2.5",
+    "linear:1", "linear:-0.75", "const:0.7", "const:-3",
+)
+
+
+def _route_cases():
+    """The `_eigvals_cases` inputs plus a 1e-6...1e6 scale sweep."""
+    m = random_hermitian(5, rng_stream(823))
+    return _eigvals_cases() + [scale * m for scale in 10.0 ** np.arange(-6, 7)]
+
+
+@pytest.mark.parametrize("spec", _POLY_SPECS)
+def test_polynomial_route_equals_spectral_route(spec):
+    f = parse_function_spec(spec)
+    assert f.poly is not None
+    for m in _route_cases():
+        out = matrix_function(m, f)
+        ref = matrix_function(m, f, decomp=hermitian_eig(m))
+        assert out.dtype == np.complex128 and out.shape == m.shape
+        assert np.array_equal(out, out.conj().T)
+        assert frob(out - ref) <= 1e-12 * max(1.0, frob(ref)), (spec, m.shape)
+
+
+def test_polynomial_route_exact_on_zero_matrix():
+    for d in (1, 2, 5):
+        zero = np.zeros((d, d))
+        for c in (0.7, -3.0, 0.0):
+            assert np.array_equal(matrix_function(zero, get_function("const", (c,))),
+                                  c * np.eye(d))
+        assert np.array_equal(matrix_function(zero, get_function("shifted_square", (1.0,))),
+                              np.eye(d))
+        assert np.array_equal(matrix_function(zero, get_function("quartic")), zero)
+
+
+@pytest.mark.parametrize("m, error", _MISUSE_CASES)
+def test_polynomial_route_raises_where_spectral_route_raises(m, error):
+    for f in [get_function("abs")] + [parse_function_spec(s) for s in _POLY_SPECS]:
+        if error is None:
+            matrix_function(m, f)  # both routes accept it
+            continue
+        with pytest.raises(error):
+            matrix_function(m, f)
+
+
+def test_polynomial_route_makes_no_eigensolve(monkeypatch):
+    # with the eigensolver unavailable, every function with coefficients
+    # still works; abs and exp, and any call that passes decomp=, go
+    # through the spectral route
+    m = random_hermitian(4, rng_stream(829))
+    dec = hermitian_eig(m)
+    expected = {spec: matrix_function(m, parse_function_spec(spec), decomp=dec)
+                for spec in _POLY_SPECS}
+    calls = []
+
+    def no_eigensolve(x):
+        calls.append(x)
+        raise AssertionError("hermitian_eig called")
+
+    monkeypatch.setattr(linalg_core, "hermitian_eig", no_eigensolve)
+    for spec, ref in expected.items():
+        out = matrix_function(m, parse_function_spec(spec))
+        assert frob(out - ref) <= 1e-12 * max(1.0, frob(ref)), spec
+    assert not calls
+    for name in ("abs", "exp"):
+        with pytest.raises(AssertionError, match="hermitian_eig called"):
+            matrix_function(m, get_function(name))
+    assert len(calls) == 2
+    # decomp= takes the spectral route on the decomposition given, even
+    # for a polynomial: a different spectrum shows in the result
+    shifted = SpectralDecomposition(dec.eigenvalues + 1.0, dec.eigenvectors)
+    out = matrix_function(m, get_function("square"), decomp=shifted)
+    assert frob(out - shifted.with_eigenvalues(shifted.eigenvalues ** 2)) <= 1e-12 * frob(out)
+    assert len(calls) == 2
 
 
 _G = complex_gaussian(rng_stream(5), 6, 6)
