@@ -296,12 +296,15 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
 
     Each trial's randomness is keyed by (master_seed, global trial index), so
     the output is byte-identical for identical (config, seed) regardless of
-    how many workers execute it.
+    how many workers execute it. `jobs=None` uses every CPU; fewer than one
+    worker is a usage error.
     """
-    tasks = build_tasks(config)
-    run = functools.partial(_run_task, master_seed=config.master_seed, tol=config.tolerances)
     if jobs is None:
         jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    tasks = build_tasks(config)
+    run = functools.partial(_run_task, master_seed=config.master_seed, tol=config.tolerances)
     if jobs > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -363,19 +366,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed(default: int) -> int:
+def _env_seed(default: int, source: str) -> int:
+    """OPJENSEN_SEED when set, else `default`, which `source` names in errors.
+    Seeds key numpy SeedSequences, so a negative one is a usage error."""
     raw = os.environ.get(_SEED_ENV)
     if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+        seed = default
+    else:
+        source = _SEED_ENV
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise UsageError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_campaign(args) -> int:
     config = CampaignConfig.from_file(args.config) if args.config else default_campaign()
-    config.master_seed = _env_seed(config.master_seed)
+    config.master_seed = _env_seed(config.master_seed, "master_seed")
     if args.out:
         config.out_path = args.out
     summary = run_campaign(config, jobs=args.jobs)
@@ -388,7 +398,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    seed = _env_seed(args.seed)
+    seed = _env_seed(args.seed, "--seed")
     try:
         tol = ToleranceConfig(atol=args.tol, rtol=args.tol)
     except ValueError as exc:
@@ -429,7 +439,7 @@ def _cmd_search(args) -> int:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise UsageError(f"--dims must be comma-separated integers, got {args.dims!r}") from exc
-    seed = _env_seed(args.seed)
+    seed = _env_seed(args.seed, "--seed")
     result = ablation_search(args.target, args.trials, dims, seed)
     payload = {
         "target": result.target,

@@ -135,17 +135,24 @@ def _report(
     passed: bool,
     inputs: dict,
 ) -> CheckReport:
-    """A check's report; a failing one carries its encoded inputs as witness.
+    """A check's report; a failing one carries its inputs as witness.
 
     `inputs` holds every argument of the check except those in
     `_UNRECORDED`, as the check used them (hermitized, snapped, ...), so
-    that `replay_report` repeats exactly this call.
+    that `replay_report` repeats exactly this call. The report keeps them and
+    encodes them when its witness is first read: most failing reports (all
+    but the worst of an ablation search, say) are never written.
     """
-    witness = None if passed else {"inputs": CHECKS[name].encode(inputs)}
+    witness = None if passed else functools.partial(_encode_witness, name, inputs)
     return CheckReport(
         check_name=name, seed=seed, params=params,
         lhs=lhs, rhs=rhs, gap=gap, tol=tol_val, passed=passed, witness=witness,
     )
+
+
+# Module-level, so that a report holding it still pickles.
+def _encode_witness(name: str, inputs: dict) -> dict:
+    return {"inputs": CHECKS[name].encode(inputs)}
 
 
 def _one_sided_report(
@@ -1077,23 +1084,18 @@ def _nonpositive_unital_map(n: int, rng: np.random.Generator) -> PositiveMap:
     unital.
     """
     c = random_hermitian(n * n, rng)
-    act = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            blk = c[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            for m in range(n):
-                for mm in range(n):
-                    act[m + mm * n, i + j * n] = blk[m, mm]
+    # Block (i, j) of c, entry (m, mm), is the value on matrix unit e_ij at
+    # row m + mm*n, column i + j*n of the column-major action matrix.
+    act = c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     base = PositiveMap(
         kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
         claimed_positive=False, claimed_unital=False, claimed_contractive=False,
     )
     r = np.eye(n) - base.on_identity()
     act = act.copy()
+    act4 = act.reshape(n, n, n, n)
     for i in range(n):
-        for m in range(n):
-            for mm in range(n):
-                act[m + mm * n, i + i * n] += r[m, mm] / n
+        act4[:, :, i, i] += (r / n).T
     return PositiveMap(
         kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
         claimed_positive=False, claimed_unital=True, claimed_contractive=False,

@@ -4,14 +4,16 @@ One CheckReport per verification trial. Reports serialize to JSON objects
 with sorted keys and repr-roundtrip floats, so identical trials produce
 byte-identical JSON Lines. Complex scalars serialize as [re, im] pairs and
 matrices as row-major nested arrays of such pairs; failure witnesses carry
-every input needed to replay the trial bit-exactly.
+every input needed to replay the trial bit-exactly. A failing report made by
+a check keeps its inputs and encodes them as the witness only when the
+witness is first read or written, and then only once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,10 +24,9 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def encode_matrix(m: np.ndarray) -> list:
+    """A vector or matrix as nested [re, im] pairs of Python floats."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 1:
-        return [encode_complex(z) for z in a]
-    return [[encode_complex(z) for z in row] for row in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -50,6 +51,33 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+class _EncodedOnRead:
+    """Field descriptor: a zero-argument callable stored in the field is
+    called on the first read, and its result replaces it."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
+def _json_default(value: Any) -> Any:
+    """What json cannot write itself. A witness the checks encode holds JSON
+    values only; numpy scalars given to a check directly end here."""
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class CheckReport:
     """Outcome of one verification trial.
@@ -59,6 +87,10 @@ class CheckReport:
     indicator-style checks (pre-order assertions) store the absolute
     discrepancy / failed-assertion count in `lhs` with rhs = 0, which keeps
     the same pass criterion; params then carry the underlying values.
+
+    `witness` is None on a passing report and on a failing one the encoded
+    inputs, JSON values only, written as they are. It may be given as a
+    zero-argument callable returning that dict, which runs on first read.
     """
 
     check_name: str
@@ -69,7 +101,7 @@ class CheckReport:
     gap: float = 0.0
     tol: float = 0.0
     passed: bool = True
-    witness: dict | None = None
+    witness: dict | Callable[[], dict] | None = _EncodedOnRead()
 
     def to_dict(self) -> dict:
         out = {
@@ -83,11 +115,13 @@ class CheckReport:
             "pass": bool(self.passed),
         }
         if self.witness is not None:
-            out["witness"] = _jsonable(self.witness)
+            out["witness"] = self.witness
         return out
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":"), default=_json_default
+        )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CheckReport":

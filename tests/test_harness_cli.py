@@ -233,6 +233,74 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert open(out1).read() == open(out2).read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "check_cfl", "--seed", "-1", "--trials", "2"],
+    ["search", "--target", "petz_drop_f0", "--seed", "-5"],
+], ids=["check", "search"])
+def test_cli_negative_seed_flag_is_usage_error(capsys, argv):
+    # numpy's SeedSequence refused it with a ValueError traceback, exit 1
+    assert cli_entry(argv) == EXIT_USAGE
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "check_cfl", "--trials", "2"],
+    ["search", "--target", "petz_drop_f0", "--trials", "2"],
+    ["campaign", "--jobs", "1"],
+], ids=["check", "search", "campaign"])
+def test_negative_env_seed_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("OPJENSEN_SEED", "-3")
+    out = str(tmp_path / "out.jsonl")
+    assert cli_entry(argv + ["--out", out]) == EXIT_USAGE
+    assert "OPJENSEN_SEED must be a non-negative integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_config_seed_is_usage_error(tmp_path, capsys):
+    cfg = {"checks": ["check_cfl"], "trials": 2, "master_seed": -4,
+           "out_path": str(tmp_path / "out.jsonl")}
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert "master_seed must be a non-negative integer" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_path"])
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    # both ran the campaign serially without a word
+    cfg = small_config(tmp_path, trials=2)
+    with pytest.raises(UsageError, match="jobs must be >= 1"):
+        run_campaign(cfg, jobs=jobs)
+    assert not os.path.exists(cfg.out_path)
+    assert cli_entry(["campaign", "--jobs", str(jobs), "--out", cfg.out_path]) == EXIT_USAGE
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(cfg.out_path)
+
+
+def test_jobs_none_uses_every_cpu(tmp_path, monkeypatch):
+    import opjensen.harness_cli as harness
+
+    seen = []
+
+    class _Pool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _Pool)
+    cfg = small_config(tmp_path, trials=4)
+    assert run_campaign(cfg, jobs=None)["total"] == 4
+    assert seen == [3]
+
+
 def test_cli_replay_mismatch_exits_one(tmp_path, capsys):
     # a tampered witness fails the reproduction comparison
     wpath = str(tmp_path / "w.jsonl")

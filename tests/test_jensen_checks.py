@@ -9,6 +9,7 @@ from opjensen.convex_catalog import get_function
 from opjensen.errors import HypothesisError, UsageError
 from opjensen.jensen_checks import (
     CHECKS,
+    _nonpositive_unital_map,
     ablation_search,
     check_cfl,
     check_hansen_pedersen,
@@ -36,6 +37,7 @@ from opjensen.linalg_core import (
     rng_stream,
 )
 from opjensen.positive_maps import (
+    PositiveMap,
     identity_map,
     pinching_map,
     random_positive_map,
@@ -703,6 +705,39 @@ def test_ablation_unknown_target():
 def test_ablation_needs_dims():
     with pytest.raises(UsageError):
         ablation_search("petz_drop_f0", 2, [], 1)
+
+
+def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:
+    """The action matrix of `_nonpositive_unital_map`, entry by entry."""
+    c = random_hermitian(n * n, rng)
+    act = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            blk = c[i * n:(i + 1) * n, j * n:(j + 1) * n]
+            for m in range(n):
+                for mm in range(n):
+                    act[m + mm * n, i + j * n] = blk[m, mm]
+    base = PositiveMap(
+        kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
+        claimed_positive=False, claimed_unital=False, claimed_contractive=False,
+    )
+    r = np.eye(n) - base.on_identity()
+    act = act.copy()
+    for i in range(n):
+        for m in range(n):
+            for mm in range(n):
+                act[m + mm * n, i + i * n] += r[m, mm] / n
+    return act
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonpositive_unital_map_equals_loop_reference(n):
+    for seed in range(20):
+        phi = _nonpositive_unital_map(n, rng_stream(71, n, seed))
+        want = _nonpositive_unital_action_by_loops(n, rng_stream(71, n, seed))
+        assert phi.action.tobytes() == want.tobytes()
+        assert phi.claimed_unital and not phi.claimed_positive
+        assert frob(phi.on_identity() - np.eye(n)) <= 1e-12
 
 
 def test_report_invariant_pass_iff_gap_above_neg_tol():

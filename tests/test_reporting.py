@@ -1,0 +1,106 @@
+"""Report wire format: the matrix codec and when witnesses are encoded."""
+
+import json
+
+import numpy as np
+import pytest
+
+from opjensen import jensen_checks
+from opjensen.jensen_checks import CheckSpec, ablation_search, replay_report
+from opjensen.reporting import CheckReport, decode_matrix, encode_matrix
+
+
+def _reference_encode(m) -> list:
+    """The per-element codec: [re, im] of each entry, as Python floats."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim == 1:
+        return [[complex(z).real, complex(z).imag] for z in a]
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in a]
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+    np.array([[5e-324, -5e-324j], [complex(5e-324, 1e308), -1e308]]),
+    np.array([[1e308, -1e308], [1e308j, complex(-1e308, 1e308)]]),
+    np.array([[1.0, 2.5], [-3.0, 0.1]]),                    # real dtype
+    np.array([[1, -2], [3, 4]]),                            # integer dtype
+    np.array([0.1 + 0.2j, -0.0, 7e-300 - 3j]),              # vector
+    np.array([-0.0 + 0.0j]),                                # 1-vector
+    np.array([[complex(-0.0, 5e-324)]]),                    # 1x1
+    np.array([[2.0]]),                                      # real 1x1
+    np.random.default_rng(5).standard_normal((7, 7, 2)) @ [1, 1j],
+], ids=["signed_zeros", "subnormal", "huge", "real", "int", "vector", "vector1",
+        "one_by_one", "real_one_by_one", "random"])
+def test_encode_matrix_matches_per_element_reference(m):
+    got = encode_matrix(m)
+    want = _reference_encode(m)
+    assert _dumps(got) == _dumps(want)
+    # the same values with the same signs, as Python floats
+    assert repr(got) == repr(want)
+    np.testing.assert_array_equal(decode_matrix(got), np.asarray(m, dtype=np.complex128))
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Count CheckSpec.encode calls, by check name."""
+    calls: list[str] = []
+    original = CheckSpec.encode
+
+    def counted(self, inputs):
+        calls.append(self.name)
+        return original(self, inputs)
+
+    monkeypatch.setattr(CheckSpec, "encode", counted)
+    return calls
+
+
+def test_ablation_search_encodes_only_the_written_witness(encodes):
+    for target in jensen_checks.ABLATION_TARGETS:
+        ablation_search(target, 6, [2, 3], 4)
+    res = ablation_search("drop_positivity", 12, [2, 3, 4], 1)
+    assert res.witness is not None
+    assert encodes == []
+    line = res.witness.to_json_line()
+    assert encodes == ["check_petz"]
+    # encoded once: reading and writing again reuse it
+    assert res.witness.to_json_line() == line
+    assert res.witness.to_dict()["witness"] == json.loads(line)["witness"]
+    assert res.witness.witness["inputs"]["map"]["kind"] == "nonpositive_unital"
+    assert encodes == ["check_petz"]
+
+
+def test_replay_report_encodes_nothing(encodes):
+    line = ablation_search("petz_drop_f0", 3, [2, 3], 2).witness.to_json_line()
+    del encodes[:]
+    replayed = replay_report(json.loads(line))
+    assert not replayed.passed
+    assert encodes == []
+    # the replayed report still writes its witness on demand, to the same bytes
+    assert _dumps(replayed.to_dict()["witness"]) == _dumps(json.loads(line)["witness"])
+    assert encodes == ["check_petz"]
+
+
+def test_witness_given_as_dict_or_callable():
+    assert CheckReport("check_cfl", 1).witness is None
+    witness = {"inputs": {"x": encode_matrix(np.eye(2))}}
+    calls = []
+    deferred = CheckReport("check_cfl", 1, passed=False,
+                           witness=lambda: calls.append(1) or witness)
+    eager = CheckReport("check_cfl", 1, passed=False, witness=witness)
+    assert calls == []
+    assert deferred == eager
+    assert deferred.to_json_line() == eager.to_json_line()
+    assert calls == [1]
+
+
+def test_numpy_scalars_in_a_witness_still_serialize():
+    rep = CheckReport("check_cfl", np.int64(3), params={"k": np.int64(2)}, passed=False,
+                      witness={"inputs": {"space": {"d1": np.int64(2), "d2": np.float64(0.5)}}})
+    assert json.loads(rep.to_json_line())["witness"] == {
+        "inputs": {"space": {"d1": 2, "d2": 0.5}}}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        CheckReport("check_cfl", 1, passed=False, witness={"inputs": object()}).to_json_line()
