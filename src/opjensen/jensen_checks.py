@@ -1,8 +1,9 @@
 """One verification operation per trace-Jensen inequality, plus
 hypothesis-ablation searches.
 
-Every check is a pure function of its inputs returning a CheckReport, so a
-failure witness replays bit-exactly. The inequalities verified:
+Every check is a pure function of its mathematical inputs, plus `tol` and
+`enforce_hypotheses`, returning a CheckReport, so a failure witness replays
+bit-exactly. The inequalities verified:
 
   * check_cfl: the density-matrix partial-trace inequality
       Tr_2 f(Tr_1((rho x 1)^(1/2) H (rho x 1)^(1/2))) <= Tr_1(rho^(1/2) Tr_2 f(H) rho^(1/2))
@@ -24,9 +25,12 @@ failure witness replays bit-exactly. The inequalities verified:
     f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
 `CHECKS` registers each check once: its campaign axes, cell compatibility,
-and seeded instance generator. Campaign expansion, trial generation, and
-replay all go through it. A failure witness is the check's arguments, written
-by one codec shared by all checks.
+and seeded instance generator. Campaign expansion, trial generation,
+ablation searches, and replay all go through it. A check's report has seed
+0; the drivers (`generate_trial`, `run_trial`, `ablation_search`,
+`replay_report`) stamp the trial's seed and add their labels to its params.
+A failure witness is the check's arguments, written by one codec shared by
+all checks.
 """
 
 from __future__ import annotations
@@ -126,7 +130,6 @@ _MAX_RESAMPLES = 64
 
 def _report(
     name: str,
-    seed: int,
     params: dict,
     lhs: float,
     rhs: float,
@@ -145,7 +148,7 @@ def _report(
     """
     witness = None if passed else functools.partial(_encode_witness, name, inputs)
     return CheckReport(
-        check_name=name, seed=seed, params=params,
+        check_name=name, params=params,
         lhs=lhs, rhs=rhs, gap=gap, tol=tol_val, passed=passed, witness=witness,
     )
 
@@ -156,18 +159,17 @@ def _encode_witness(name: str, inputs: dict) -> dict:
 
 
 def _one_sided_report(
-    name: str, seed: int, params: dict, lhs: float, rhs: float, inputs: dict
+    name: str, params: dict, lhs: float, rhs: float, inputs: dict
 ) -> CheckReport:
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"{name}: non-finite lhs/rhs ({lhs!r}, {rhs!r})")
     gap = rhs - lhs
     tol_val = inputs["tol"].bound(lhs, rhs)
-    return _report(name, seed, params, lhs, rhs, gap, tol_val, gap >= -tol_val, inputs)
+    return _report(name, params, lhs, rhs, gap, tol_val, gap >= -tol_val, inputs)
 
 
 def _indicator_report(
-    name: str, seed: int, params: dict, failed_assertions: list[str], detail: dict,
-    inputs: dict,
+    name: str, params: dict, failed_assertions: list[str], detail: dict, inputs: dict
 ) -> CheckReport:
     n_failed = float(len(failed_assertions))
     if detail:
@@ -175,7 +177,7 @@ def _indicator_report(
     if failed_assertions:
         params = dict(params, failed=failed_assertions)
     return _report(
-        name, seed, params, n_failed, 0.0, -n_failed, inputs["tol"].bound(),
+        name, params, n_failed, 0.0, -n_failed, inputs["tol"].bound(),
         not failed_assertions, inputs,
     )
 
@@ -234,8 +236,6 @@ def check_cfl(
     f: ScalarFunction,
     space: TensorSpace,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2."""
@@ -250,10 +250,9 @@ def check_cfl(
             raise HypothesisError("rho must have unit trace")
     lhs, rhs = _tracial_sides(Hm, psd_sqrt(rho_m), f, space, (1.0, 1.0))
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
-    params.update(extra_params or {})
     inputs = dict(H=Hm, rho=rho_m, f=f, space=space, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
-    return _one_sided_report("check_cfl", seed, params, lhs, rhs, inputs)
+    return _one_sided_report("check_cfl", params, lhs, rhs, inputs)
 
 
 def check_main_tracial(
@@ -264,8 +263,6 @@ def check_main_tracial(
     weights: tuple[float, float],
     branch: str,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """Weighted-trace partial-trace Jensen inequality.
@@ -303,10 +300,9 @@ def check_main_tracial(
         "d1": space.d1, "d2": space.d2, "function": f.label,
         "w1": w1, "w2": w2, "branch": branch,
     }
-    params.update(extra_params or {})
     inputs = dict(H=Hm, a=am, f=f, space=space, weights=(w1, w2), branch=branch, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
-    return _one_sided_report("check_main_tracial", seed, params, lhs, rhs, inputs)
+    return _one_sided_report("check_main_tracial", params, lhs, rhs, inputs)
 
 
 def _map_params(phi: PositiveMap, f: ScalarFunction, branch: str) -> dict:
@@ -336,8 +332,6 @@ def check_petz(
     f: ScalarFunction,
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """tau(f(Phi(x))) <= tau(Phi(f(x))) on the output algebra."""
@@ -347,10 +341,9 @@ def check_petz(
     lhs = algebra.trace(matrix_function(y, f))
     rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))
     params = dict(_map_params(phi, f, branch), w2=algebra.trace_weights[0])
-    params.update(extra_params or {})
     inputs = dict(phi=phi, x=xm, f=f, algebra=algebra, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
-    return _one_sided_report("check_petz", seed, params, lhs, rhs, inputs)
+    return _one_sided_report("check_petz", params, lhs, rhs, inputs)
 
 
 def check_vector_jensen(
@@ -359,8 +352,6 @@ def check_vector_jensen(
     f: ScalarFunction,
     xi,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """f(<Phi(x) xi, xi>) <= <Phi(f(x)) xi, xi> for a unit vector xi."""
@@ -375,9 +366,8 @@ def check_vector_jensen(
     lhs = f(mean)
     rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)
     params = _map_params(phi, f, branch)
-    params.update(extra_params or {})
     inputs = dict(phi=phi, x=xm, f=f, xi=v, tol=tol, enforce_hypotheses=enforce_hypotheses)
-    return _one_sided_report("check_vector_jensen", seed, params, lhs, rhs, inputs)
+    return _one_sided_report("check_vector_jensen", params, lhs, rhs, inputs)
 
 
 def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int:
@@ -453,8 +443,6 @@ def check_spectral_preorder_lemma(
     piece: Interval,
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
     phi_x_decomp: SpectralDecomposition | None = None,
 ) -> CheckReport:
@@ -500,11 +488,10 @@ def check_spectral_preorder_lemma(
             failed.append("preorder_nonpositive_piece")
             detail["preorder"] = bad
     params = dict(_map_params(phi, f, branch), piece=[piece.lo, piece.hi], piece_sign=sign)
-    params.update(extra_params or {})
     inputs = dict(phi=phi, x=xm, f=f, piece=piece, algebra=algebra, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
     return _indicator_report(
-        "check_spectral_preorder_lemma", seed, params, failed, detail, inputs
+        "check_spectral_preorder_lemma", params, failed, detail, inputs
     )
 
 
@@ -514,8 +501,6 @@ def check_pinching_chain(
     f: ScalarFunction,
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """The pinching bookkeeping that assembles the trace inequality.
@@ -574,10 +559,9 @@ def check_pinching_chain(
         ]
 
     params = dict(_map_params(phi, f, branch), n_pieces=len(projections))
-    params.update(extra_params or {})
     inputs = dict(phi=phi, x=xm, f=f, algebra=algebra, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
-    return _indicator_report("check_pinching_chain", seed, params, failed, detail, inputs)
+    return _indicator_report("check_pinching_chain", params, failed, detail, inputs)
 
 
 def check_partial_trace_duality(
@@ -586,8 +570,6 @@ def check_partial_trace_duality(
     space: TensorSpace,
     weights: tuple[float, float],
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """tau_2((tau_1 x id)((a* x 1) X (a x 1))) = tau_1(a* (id x tau_2)(X) a).
@@ -610,11 +592,10 @@ def check_partial_trace_duality(
         "d1": space.d1, "d2": space.d2, "w1": w1, "w2": w2,
         "lhs_value": lhs_val, "rhs_value": rhs_val,
     }
-    params.update(extra_params or {})
     inputs = dict(X=Xm, a=am, space=space, weights=(w1, w2), tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
     return _report(
-        "check_partial_trace_duality", seed, params,
+        "check_partial_trace_duality", params,
         discrepancy, 0.0, -discrepancy, tol_val, passed, inputs,
     )
 
@@ -627,8 +608,6 @@ def check_state_version(
     rho2,
     space: TensorSpace,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """Normal-state version: for states rho_i(y) = Tr(D_i y), a contraction a,
@@ -663,10 +642,9 @@ def check_state_version(
     )
     rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
-    params.update(extra_params or {})
     inputs = dict(H=Hm, a=am, f=f, rho1=d1_m, rho2=d2_m, space=space, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
-    return _one_sided_report("check_state_version", seed, params, lhs, rhs, inputs)
+    return _one_sided_report("check_state_version", params, lhs, rhs, inputs)
 
 
 def _is_numerically_unitary(a: np.ndarray) -> bool:
@@ -680,8 +658,6 @@ def check_hansen_pedersen(
     f: ScalarFunction,
     space: TensorSpace,
     tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    extra_params: dict | None = None,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """Operator-level contractive Jensen inequality
@@ -716,10 +692,9 @@ def check_hansen_pedersen(
         "d1": space.d1, "d2": space.d2, "function": f.label,
         "a_unitary": unitary,
     }
-    params.update(extra_params or {})
     inputs = dict(H=Hm, a=am, f=f, space=space, tol=tol, enforce_hypotheses=enforce_hypotheses)
     return _report(
-        "check_hansen_pedersen", seed, params, 0.0, lam_min, lam_min, tol_val, passed, inputs
+        "check_hansen_pedersen", params, 0.0, lam_min, lam_min, tol_val, passed, inputs
     )
 
 
@@ -771,8 +746,9 @@ def _contraction_for(f: ScalarFunction, dim: int, rng: np.random.Generator) -> n
 
 # A campaign cell carries the sweep axes (d1, d2, function, map_kind, w1, w2,
 # branch). Each check's `draw` turns a cell into the keyword inputs of one
-# random instance; keyword arguments are evaluated left to right, which fixes
-# the order the RNG is consumed in.
+# random instance, plus, under `labels`, any params the report should carry;
+# keyword arguments are evaluated left to right, which fixes the order the
+# RNG is consumed in.
 
 def _space(cell: dict) -> TensorSpace:
     return TensorSpace(int(cell.get("d1", 2)), int(cell.get("d2", 2)))
@@ -799,11 +775,10 @@ def _draw_main_tracial(cell: dict, rng: np.random.Generator) -> dict:
 def _draw_map_input(cell: dict, rng: np.random.Generator) -> dict:
     """A positive map Phi and self-adjoint x, plus the weighted algebra Phi
     maps into, for the Petz-type checks."""
-    f, space, kind = cell["function"], _space(cell), cell["map_kind"]
-    out_dim = space.d1 if kind in ("transpose", "pinching") else space.d2
-    return dict(phi=random_positive_map(kind, space.d1, out_dim, rng),
-                x=_fit_spectrum(random_hermitian(space.d1, rng), f), f=f,
-                algebra=BlockAlgebra.single(out_dim, _weights(cell)[1]))
+    f, space = cell["function"], _space(cell)
+    phi = random_positive_map(cell["map_kind"], space.d1, space.d2, rng)
+    return dict(phi=phi, x=_fit_spectrum(random_hermitian(space.d1, rng), f), f=f,
+                algebra=BlockAlgebra.single(phi.out_dim, _weights(cell)[1]))
 
 
 def _draw_vector_jensen(cell: dict, rng: np.random.Generator) -> dict:
@@ -813,7 +788,8 @@ def _draw_vector_jensen(cell: dict, rng: np.random.Generator) -> dict:
 
 
 def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
-    """A map input plus one monotone sign piece of f, drawn uniformly."""
+    """A map input plus one monotone sign piece of f, drawn uniformly and
+    labelled with its slot."""
     inputs = _draw_map_input(cell, rng)
     f = inputs["f"]
     y = symmetrize(apply_map(inputs["phi"], hermitize(inputs["x"])))
@@ -821,7 +797,7 @@ def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
     split = monotone_sign_split(f, working_interval(dec_y.eigenvalues, domain=f.domain))
     pieces = split.nonempty_pieces()
     slot, piece = pieces[int(rng.integers(len(pieces)))]
-    return dict(inputs, piece=piece, phi_x_decomp=dec_y, extra_params={"piece_slot": slot})
+    return dict(inputs, piece=piece, phi_x_decomp=dec_y, labels={"piece_slot": slot})
 
 
 def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
@@ -937,9 +913,9 @@ def _field(arg: str) -> tuple[Callable, Callable]:
 # The check registry
 # ---------------------------------------------------------------------------
 
-# Check arguments a witness leaves out: the report has its own seed and
-# params, and a replay recomputes a decomposition passed in to save work.
-_UNRECORDED = ("seed", "extra_params", "phi_x_decomp")
+# Check arguments a witness leaves out: a replay recomputes a decomposition
+# passed in to save work.
+_UNRECORDED = ("phi_x_decomp",)
 
 
 @dataclass(frozen=True)
@@ -948,8 +924,9 @@ class CheckSpec:
 
     `axes` are the campaign-config axes its cells sweep, `compatible(cell)`
     says whether a cell satisfies its hypotheses, and `draw(cell, rng)` gives
-    the keyword inputs of one random instance. A witness records every
-    argument of the check except those in `_UNRECORDED`.
+    the keyword inputs of one random instance (and its report labels, under
+    `labels`). A witness records every argument of the check except those in
+    `_UNRECORDED`.
     """
 
     name: str
@@ -1013,11 +990,21 @@ def generate_trial(
     """Draw one random instance for a check and run it.
 
     `entropy` keys the RNG stream, so identical (cell, entropy) always
-    reproduces the same trial.
+    reproduces the same trial. The report is stamped with the stream's token
+    as its seed and with the draw's labels.
     """
     spec = CHECKS[check_name]
     rng, token = random_stream(*entropy)
-    return spec.run(**spec.draw(cell, rng), tol=tol, seed=token)
+    inputs = spec.draw(cell, rng)
+    labels = inputs.pop("labels", {})
+    return _stamped(spec.run(**inputs, tol=tol), token, labels)
+
+
+def _stamped(report: CheckReport, seed: int, labels: dict) -> CheckReport:
+    """The report with the seed of its trial and its labels in params."""
+    report.seed = seed
+    report.params.update(labels)
+    return report
 
 
 def run_trial(
@@ -1047,22 +1034,13 @@ def run_trial(
                     f"{check_name}: trial {trial_index} hit boundary ambiguity "
                     f"{_MAX_RESAMPLES} times in a row"
                 ) from None
-    report.params["trial"] = trial_index
-    report.params["resampled"] = attempts
+    report.params.update(trial=trial_index, resampled=attempts)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis-ablation searches
 # ---------------------------------------------------------------------------
-
-ABLATION_TARGETS = (
-    "petz_drop_f0",
-    "state_drop_opconvex",
-    "drop_positivity",
-    "drop_contractive",
-)
-
 
 @dataclass
 class AblationResult:
@@ -1102,23 +1080,41 @@ def _nonpositive_unital_map(n: int, rng: np.random.Generator) -> PositiveMap:
     )
 
 
-def _expansive_map(in_dim: int, out_dim: int, rng: np.random.Generator) -> PositiveMap:
-    base = random_positive_map("ucp_stinespring", in_dim, out_dim, rng)
+def _expansive_map(n: int, rng: np.random.Generator) -> PositiveMap:
+    base = random_positive_map("ucp_stinespring", n, n, rng)
     c = 1.0 + float(rng.uniform(0.25, 1.0))
     scaled = tuple(math.sqrt(c) * v for v in base.kraus)
     return PositiveMap(
-        kind="expansive", in_dim=in_dim, out_dim=out_dim, kraus=scaled,
+        kind="expansive", in_dim=n, out_dim=n, kraus=scaled,
         claimed_positive=True, claimed_unital=False, claimed_contractive=False,
     )
 
 
-# The Petz-inequality ablations: the map of each trial, and the function.
-_PETZ_ABLATIONS = {
-    "petz_drop_f0": (lambda n, rng: random_positive_map("zero", n, n, rng),
-                     get_function("shifted_square", (1.0,))),
-    "drop_positivity": (_nonpositive_unital_map, get_function("quartic")),
-    "drop_contractive": (lambda n, rng: _expansive_map(n, n, rng), get_function("square")),
+def _petz_instance(make_map: Callable, f: ScalarFunction) -> Callable:
+    """draw(n, rng) of a Petz-inequality ablation: a map on M_n, then x."""
+    return lambda n, rng: dict(phi=make_map(n, rng), x=random_hermitian(n, rng), f=f,
+                               algebra=BlockAlgebra.single(n, 1.0))
+
+
+def _state_instance(n: int, rng: np.random.Generator) -> dict:
+    """draw(n, rng) of the state-version ablation: quartic f is not operator convex."""
+    return dict(H=random_hermitian(n * n, rng), a=random_contraction(n, rng),
+                f=get_function("quartic"), rho1=_faithful_density(n, rng),
+                rho2=_faithful_density(n, rng), space=TensorSpace(n, n))
+
+
+# Each ablation target: the check it runs with hypotheses off, and
+# draw(n, rng), the keyword inputs of one instance on dimension n.
+_ABLATIONS: dict[str, tuple[str, Callable[[int, np.random.Generator], dict]]] = {
+    "petz_drop_f0": ("check_petz", _petz_instance(
+        lambda n, rng: random_positive_map("zero", n, n, rng),
+        get_function("shifted_square", (1.0,)))),
+    "state_drop_opconvex": ("check_state_version", _state_instance),
+    "drop_positivity": ("check_petz", _petz_instance(
+        _nonpositive_unital_map, get_function("quartic"))),
+    "drop_contractive": ("check_petz", _petz_instance(_expansive_map, get_function("square"))),
 }
+ABLATION_TARGETS = tuple(_ABLATIONS)
 
 
 def ablation_search(
@@ -1129,37 +1125,29 @@ def ablation_search(
 ) -> AblationResult:
     """Re-run a check with one hypothesis removed and hunt for violations.
 
-    Only petz_drop_f0 guarantees a violation: the zero map is positive and
-    contractive, and f with f(0) != 0 gives tau(f(Phi(x))) = n * f(0) against
+    Trial i draws on dimension dims[i % len(dims)] from the stream (seed, i),
+    and its report is labelled with the target and i. Only petz_drop_f0
+    guarantees a violation: the zero map is positive and contractive, and f
+    with f(0) != 0 gives tau(f(Phi(x))) = n * f(0) against
     tau(Phi(f(x))) = 0, a gap of exactly -n * f(0). The other targets are
     exploratory searches; the most negative gap found is reported either way.
     """
-    if target not in ABLATION_TARGETS:
-        raise ValueError(f"unknown ablation target {target!r}; expected one of {ABLATION_TARGETS}")
+    if target not in _ABLATIONS:
+        raise UsageError(
+            f"unknown ablation target {target!r}; valid targets: {', '.join(ABLATION_TARGETS)}"
+        )
     if not dims:
         raise UsageError("ablation_search needs at least one dimension")
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    check_name, draw = _ABLATIONS[target]
+    spec = CHECKS[check_name]
     worst_gap = math.inf
     worst: CheckReport | None = None
     for i in range(trials):
         rng, token = random_stream(seed, i)
-        n = int(dims[i % len(dims)])
-        extra = {"ablation": target, "trial": i}
-        if target == "state_drop_opconvex":
-            space = TensorSpace(n, n)
-            h = random_hermitian(space.total_dim, rng)
-            a = random_contraction(n, rng)
-            report = check_state_version(
-                h, a, get_function("quartic"), _faithful_density(n, rng),
-                _faithful_density(n, rng), space,
-                seed=token, extra_params=extra, enforce_hypotheses=False,
-            )
-        else:
-            make_map, f = _PETZ_ABLATIONS[target]
-            phi = make_map(n, rng)
-            report = check_petz(
-                phi, random_hermitian(n, rng), f, BlockAlgebra.single(n, 1.0),
-                seed=token, extra_params=extra, enforce_hypotheses=False,
-            )
+        report = spec.run(**draw(int(dims[i % len(dims)]), rng), enforce_hypotheses=False)
+        _stamped(report, token, {"ablation": target, "trial": i})
         if report.gap < worst_gap:
             worst_gap = report.gap
             worst = report
@@ -1192,4 +1180,4 @@ def replay_report(report: CheckReport | dict) -> CheckReport:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot decode the witness report ({exc!r})") from exc
-    return spec.run(**inputs, seed=rep.seed)
+    return _stamped(spec.run(**inputs), rep.seed, {})

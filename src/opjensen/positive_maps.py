@@ -211,6 +211,9 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
     pinching:        from a random resolution of the identity (unital, CP).
     scaled_contractive: c * Psi for a UCP Psi, c uniform in (0, 1).
     zero:            the zero map (positive and contractive, not unital).
+
+    transpose and pinching map M_in_dim to itself and ignore `out_dim`; the
+    map's `out_dim` is the dimension it maps into.
     """
     if in_dim < 1 or out_dim < 1:
         raise DimensionError("map dimensions must be >= 1")

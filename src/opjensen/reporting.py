@@ -18,11 +18,6 @@ from typing import Any, Callable
 import numpy as np
 
 
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(m: np.ndarray) -> list:
     """A vector or matrix as nested [re, im] pairs of Python floats."""
     a = np.asarray(m, dtype=np.complex128)
@@ -35,20 +30,6 @@ def decode_matrix(obj) -> np.ndarray:
     if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
         raise ValueError(f"cannot decode matrix payload of shape {arr.shape}: need [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return encode_matrix(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return encode_complex(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 class _EncodedOnRead:
@@ -71,8 +52,13 @@ class _EncodedOnRead:
 
 
 def _json_default(value: Any) -> Any:
-    """What json cannot write itself. A witness the checks encode holds JSON
-    values only; numpy scalars given to a check directly end here."""
+    """What json cannot write itself, in params or a witness: a complex
+    scalar as [re, im], an array as `encode_matrix` writes it, and a numpy
+    integer or float as the Python number."""
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return encode_matrix(value)
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -88,13 +74,18 @@ class CheckReport:
     discrepancy / failed-assertion count in `lhs` with rhs = 0, which keeps
     the same pass criterion; params then carry the underlying values.
 
+    A check leaves `seed` at 0; the trial drivers stamp the seed of the
+    trial's random stream, and add labels such as the trial index to
+    `params`. `params` is written as it is: complex numbers as [re, im] and
+    arrays as nested [re, im] pairs.
+
     `witness` is None on a passing report and on a failing one the encoded
     inputs, JSON values only, written as they are. It may be given as a
     zero-argument callable returning that dict, which runs on first read.
     """
 
     check_name: str
-    seed: int
+    seed: int = 0
     params: dict = field(default_factory=dict)
     lhs: float = 0.0
     rhs: float = 0.0
@@ -107,7 +98,7 @@ class CheckReport:
         out = {
             "check_name": self.check_name,
             "seed": int(self.seed),
-            "params": _jsonable(self.params),
+            "params": self.params,
             "lhs": float(self.lhs),
             "rhs": float(self.rhs),
             "gap": float(self.gap),

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from opjensen import harness_cli
 from opjensen.errors import UsageError
 from opjensen.harness_cli import (
     CampaignConfig,
@@ -21,6 +22,7 @@ from opjensen.harness_cli import (
     run_campaign,
     _csv_path_for,
 )
+from opjensen.linalg_core import ToleranceConfig
 from opjensen.reporting import CheckReport
 
 
@@ -262,6 +264,37 @@ def test_negative_config_seed_is_usage_error(tmp_path, capsys):
     assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
     assert "master_seed must be a non-negative integer" in capsys.readouterr().err
     assert not os.path.exists(cfg["out_path"])
+
+
+def test_negative_master_seed_is_usage_error_before_any_trial(tmp_path, monkeypatch):
+    # numpy's SeedSequence refused it with a plain ValueError at the first trial
+    trials = []
+    monkeypatch.setattr(harness_cli, "run_trial", lambda *args: trials.append(args))
+    cfg = small_config(tmp_path, trials=2, master_seed=-1)
+    for jobs in (1, 2):
+        with pytest.raises(UsageError, match="master_seed must be a non-negative integer"):
+            run_campaign(cfg, jobs=jobs)
+    assert trials == []
+    assert not os.path.exists(cfg.out_path)
+
+
+@pytest.mark.parametrize("extra, defaults_but", [
+    ({}, {}),
+    ({"trials": 7}, {"trials": 7}),
+    ({"tolerances": {}}, {}),
+    ({"tolerances": {"rtol": 1e-6}}, {"tolerances": ToleranceConfig(rtol=1e-6)}),
+    ({"tolerances": {"atol": 0.0, "eig_cluster_tol": 1e-8}},
+     {"tolerances": ToleranceConfig(atol=0.0, eig_cluster_tol=1e-8)}),
+], ids=["checks_only", "trials", "empty_tolerances", "rtol", "atol_cluster"])
+def test_config_keys_left_out_take_the_dataclass_defaults(extra, defaults_but):
+    checks = ["check_cfl", "check_petz"]
+    got = CampaignConfig.from_dict({"checks": checks, **extra})
+    assert got == CampaignConfig(checks=checks, **defaults_but)
+
+
+def test_config_without_checks_is_usage_error():
+    with pytest.raises(UsageError, match="checks"):
+        CampaignConfig.from_dict({"trials": 2})
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -1,14 +1,18 @@
 """Per-inequality verification operations, ablations, and witness replay."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from opjensen import jensen_checks
 from opjensen.convex_catalog import get_function
 from opjensen.errors import HypothesisError, UsageError
 from opjensen.jensen_checks import (
+    ABLATION_TARGETS,
     CHECKS,
+    CheckSpec,
     _nonpositive_unital_map,
     ablation_search,
     check_cfl,
@@ -33,6 +37,7 @@ from opjensen.linalg_core import (
     psd_sqrt,
     random_density,
     random_hermitian,
+    random_stream,
     random_unitary,
     rng_stream,
 )
@@ -403,8 +408,10 @@ def test_preorder_lemma_trial_equals_a_fresh_check(kind, f):
         rep = generate_trial("check_spectral_preorder_lemma", cell, (81, s))
         inputs = CHECKS["check_spectral_preorder_lemma"].draw(cell, rng_stream(81, s))
         del inputs["phi_x_decomp"]
-        extra = inputs.pop("extra_params")
-        fresh = check_spectral_preorder_lemma(**inputs, seed=rep.seed, extra_params=extra)
+        labels = inputs.pop("labels")
+        fresh = check_spectral_preorder_lemma(**inputs)
+        fresh.seed = rep.seed
+        fresh.params["piece_slot"] = labels["piece_slot"]
         assert fresh.to_json_line() == rep.to_json_line()
 
 
@@ -705,6 +712,63 @@ def test_ablation_unknown_target():
 def test_ablation_needs_dims():
     with pytest.raises(UsageError):
         ablation_search("petz_drop_f0", 2, [], 1)
+
+
+@pytest.fixture
+def check_runs(monkeypatch):
+    """Every report a CheckSpec runs, in order."""
+    reports: list[CheckReport] = []
+    original = CheckSpec.run
+
+    def recorded(self, **inputs):
+        reports.append(original(self, **inputs))
+        return reports[-1]
+
+    monkeypatch.setattr(CheckSpec, "run", recorded)
+    return reports
+
+
+def test_ablation_negative_seed_is_usage_error_before_any_trial(check_runs):
+    # numpy's SeedSequence refused it with a plain ValueError at the first trial
+    with pytest.raises(UsageError, match="non-negative"):
+        ablation_search("petz_drop_f0", 2, [2], -5)
+    assert check_runs == []
+
+
+def test_ablation_unknown_target_is_usage_error():
+    with pytest.raises(UsageError, match="valid targets: petz_drop_f0, state_drop_opconvex"):
+        ablation_search("bogus", 1, [2], 0)
+
+
+@pytest.mark.parametrize("target", ABLATION_TARGETS)
+def test_ablation_reports_are_stamped_and_witnesses_replay(check_runs, target):
+    res = ablation_search(target, 12, [2, 3, 4], 1)
+    assert len(check_runs) == 12
+    for i, rep in enumerate(check_runs):
+        assert rep.params["ablation"] == target and rep.params["trial"] == i
+        assert rep.seed == random_stream(1, i)[1]
+    if target == "state_drop_opconvex":
+        # exploratory: quartic f holds on every draw of this search
+        assert res.witness is None and res.max_violation >= 0
+        return
+    assert any(res.witness is rep for rep in check_runs)
+    line = res.witness.to_json_line()
+    replayed = replay_report(json.loads(line))
+    assert (replayed.lhs, replayed.rhs, replayed.gap) == (
+        res.witness.lhs, res.witness.rhs, res.witness.gap)
+    assert replayed.seed == res.witness.seed
+
+
+def test_checks_take_only_their_inputs():
+    # the trial drivers stamp seed and labels; a direct call reports seed 0
+    for name in CHECKS:
+        params = inspect.signature(getattr(jensen_checks, name)).parameters
+        assert not {"seed", "extra_params"} & set(params), name
+        assert {"tol", "enforce_hypotheses"} <= set(params), name
+    rng = rng_stream(3)
+    rep = check_cfl(random_hermitian(4, rng), random_density(2, rng), get_function("square"),
+                    SPACE22)
+    assert rep.seed == 0 and "trial" not in rep.params
 
 
 def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:

@@ -104,3 +104,23 @@ def test_numpy_scalars_in_a_witness_still_serialize():
         "inputs": {"space": {"d1": 2, "d2": 0.5}}}
     with pytest.raises(TypeError, match="not JSON serializable"):
         CheckReport("check_cfl", 1, passed=False, witness={"inputs": object()}).to_json_line()
+
+
+def test_params_write_complex_arrays_and_numpy_scalars():
+    # one path from report to JSON: complex scalars as [re, im], arrays as
+    # encode_matrix writes them, numpy numbers as Python numbers, nested too
+    params = {
+        "z": 1.5 - 0.25j,
+        "m": np.array([[1.0, 2j], [-0.0, 0.1 - 3j]]),
+        "k": np.int64(7),
+        "x": np.float64(0.1),
+        "pair": [np.complex128(complex(-0.0, 5e-324)), (2, np.float32(0.5))],
+        "nested": {"w": [np.int64(-1), np.array([1.0, -2.5])]},
+    }
+    line = CheckReport("check_partial_trace_duality", params=params).to_json_line()
+    assert line == (
+        '{"check_name":"check_partial_trace_duality","gap":0.0,"lhs":0.0,"params":{'
+        '"k":7,"m":[[[1.0,0.0],[0.0,2.0]],[[-0.0,0.0],[0.1,-3.0]]],'
+        '"nested":{"w":[-1,[[1.0,0.0],[-2.5,0.0]]]},"pair":[[-0.0,5e-324],[2,0.5]],'
+        '"x":0.1,"z":[1.5,-0.25]},"pass":true,"rhs":0.0,"seed":0,"tol":0.0}'
+    )
