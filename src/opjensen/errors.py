@@ -37,7 +37,16 @@ class ConvexityError(OpJensenError, ValueError):
 
 
 class HypothesisError(OpJensenError, ValueError):
-    """Inputs violate the hypotheses of the inequality being checked."""
+    """Inputs violate the hypotheses of the inequality being checked;
+    `hypotheses` names the ones that fail."""
+
+    def __init__(self, message: str, hypotheses: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.hypotheses = tuple(hypotheses)
+
+    def __reduce__(self):
+        # Pool workers pickle the error; the default would drop `hypotheses`.
+        return type(self), (str(self), self.hypotheses)
 
 
 class UnknownFunctionError(OpJensenError, KeyError):

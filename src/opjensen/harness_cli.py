@@ -78,6 +78,13 @@ def _refuse_unknown_keys(obj: dict, cls, where: str) -> None:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} {where}")
 
 
+def _strings(value, what: str) -> list[str]:
+    """A config value that must be a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"'{what}' must be a JSON list of strings, got {value!r}")
+    return list(value)
+
+
 def _pairs(entries, convert, what: str) -> list[tuple]:
     """Config entries that must each be a two-element list."""
     out = []
@@ -131,11 +138,11 @@ def _tolerances(obj) -> ToleranceConfig:
 
 # How `CampaignConfig.from_dict` reads each key of a config object.
 _CONFIG_FIELDS = {
-    "checks": list,
+    "checks": lambda v: _strings(v, "checks"),
     "trials": lambda v: _integer(v, "trials"),
     "dims": lambda v: _pairs(v, _integer, "dims"),
-    "functions": list,
-    "map_kinds": list,
+    "functions": lambda v: _strings(v, "functions"),
+    "map_kinds": lambda v: _strings(v, "map_kinds"),
     "weights": lambda v: _pairs(v, _real, "weights"),
     "master_seed": lambda v: _integer(v, "master_seed"),
     "tolerances": _tolerances,
@@ -196,9 +203,15 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
         if not (0 < w1 < math.inf and 0 < w2 < math.inf):
             raise UsageError(f"trace weights must be positive and finite, got ({w1}, {w2})")
     branches = ("normalized", "subnormalized") if "branches" in axes else (None,)
+    # The hypotheses a cell fixes read only its function, map kind and branch.
+    keep = {(i, kind, branch)
+            for (i, f), kind, branch in itertools.product(enumerate(functions), kinds, branches)
+            if spec.compatible({"function": f, "map_kind": kind, "branch": branch})}
     cells = []
-    for (d1, d2), f, kind, (w1, w2), branch in itertools.product(
-            dims, functions, kinds, weights, branches):
+    for (d1, d2), (i, f), kind, (w1, w2), branch in itertools.product(
+            dims, enumerate(functions), kinds, weights, branches):
+        if (i, kind, branch) not in keep:
+            continue
         cell = {"d1": d1, "d2": d2, "w1": w1, "w2": w2}
         if f is not None:
             cell["function"] = f
@@ -206,8 +219,7 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
             cell["map_kind"] = kind
         if branch is not None:
             cell["branch"] = branch
-        if spec.compatible(cell):
-            cells.append(cell)
+        cells.append(cell)
     if not cells:
         raise UsageError(
             f"{check_name}: no valid parameter cells after hypothesis filtering; "

@@ -24,13 +24,18 @@ bit-exactly. The inequalities verified:
   * check_hansen_pedersen: the operator-level contractive Jensen inequality
     f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
-`CHECKS` registers each check once: its campaign axes, cell compatibility,
-and seeded instance generator. Campaign expansion, trial generation,
-ablation searches, and replay all go through it. A check's report has seed
-0; the drivers (`generate_trial`, `run_trial`, `ablation_search`,
-`replay_report`) stamp the trial's seed and add their labels to its params.
-A failure witness is the check's arguments, written by one codec shared by
-all checks.
+`CHECKS` registers each check once: its campaign axes, seeded instance
+generator, and named hypotheses. A hypothesis is a predicate over the facts
+it reads (f, the branch, the map's flags, rho's spectrum, ...); the check
+passes its facts to one `_require` call, which raises a HypothesisError
+naming every hypothesis that fails, and campaign expansion keeps the cells
+that meet the hypotheses whose facts a cell fixes. Each ablation target
+names the one hypothesis its instances break. Campaign expansion, trial
+generation, ablation searches, and replay all go through the registry. A
+check's report has seed 0; the drivers (`generate_trial`, `run_trial`,
+`ablation_search`, `replay_report`) stamp the trial's seed and add their
+labels to its params. A failure witness is the check's arguments, written
+by one codec shared by all checks.
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ from .linalg_core import (
     symmetrize,
 )
 from .positive_maps import (
-    _UNITAL_KINDS,
+    KIND_FLAGS,
+    Flags,
     PositiveMap,
     apply_map,
     random_positive_map,
@@ -243,12 +249,9 @@ def check_cfl(
     rho_m = hermitize(rho)
     if rho_m.shape != (space.d1, space.d1):
         raise DimensionError(f"rho has shape {rho_m.shape}, expected {space.d1}")
-    if enforce_hypotheses:
-        if not f.is_convex:
-            raise HypothesisError(f"function {f.label} is not flagged convex")
-        if abs(float(np.trace(rho_m).real) - 1.0) > _HYPOTHESIS_SLACK:
-            raise HypothesisError("rho must have unit trace")
-    lhs, rhs = _tracial_sides(Hm, psd_sqrt(rho_m), f, space, (1.0, 1.0))
+    dec = hermitian_eig(rho_m)
+    _require("check_cfl", enforce_hypotheses, f=f, rho_spectrum=dec.eigenvalues)
+    lhs, rhs = _tracial_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space, (1.0, 1.0))
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     inputs = dict(H=Hm, rho=rho_m, f=f, space=space, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
@@ -275,26 +278,10 @@ def check_main_tracial(
     w1, w2 = float(weights[0]), float(weights[1])
     if am.shape != (space.d1, space.d1):
         raise DimensionError(f"a has shape {am.shape}, expected ({space.d1}, {space.d1})")
+    if branch not in ("normalized", "subnormalized"):
+        raise ValueError(f"unknown branch {branch!r}")
     norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
-    if enforce_hypotheses:
-        if branch == "normalized":
-            if abs(norm_sq - 1.0) > _HYPOTHESIS_SLACK:
-                raise HypothesisError(
-                    f"normalized branch needs tau_1(a* a) = 1, got {norm_sq!r}"
-                )
-        elif branch == "subnormalized":
-            if norm_sq > 1.0 + _HYPOTHESIS_SLACK:
-                raise HypothesisError(
-                    f"subnormalized branch needs tau_1(a* a) <= 1, got {norm_sq!r}"
-                )
-            if not f.vanishes_at_zero:
-                raise HypothesisError(
-                    f"subnormalized branch needs f(0) = 0; {f.label} does not vanish"
-                )
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
-        if not f.is_convex:
-            raise HypothesisError(f"function {f.label} is not flagged convex")
+    _require("check_main_tracial", enforce_hypotheses, f=f, branch=branch, norm_sq=norm_sq)
     lhs, rhs = _tracial_sides(Hm, am, f, space, (w1, w2))
     params = {
         "d1": space.d1, "d2": space.d2, "function": f.label,
@@ -310,20 +297,16 @@ def _map_params(phi: PositiveMap, f: ScalarFunction, branch: str) -> dict:
             "map_kind": phi.kind, "branch": branch}
 
 
-def _petz_branch(phi: PositiveMap, f: ScalarFunction, enforce: bool) -> str:
-    unital, contractive = phi.unital_contractive()
-    positive = phi.claimed_positive
-    if positive and unital and f.is_convex:
-        return "unital"
-    if positive and contractive and f.is_convex and f.vanishes_at_zero:
-        return "contractive"
-    if not enforce:
+def _petz_branch(name: str, phi: PositiveMap, enforce: bool, **facts) -> str:
+    """Which hypothesis set a Petz-type instance meets: 'unital', or
+    'contractive' with f(0) = 0; 'ablated' when, hypotheses off, one fails.
+    The map's positivity is as claimed, its unitality and contractivity as
+    measured on Phi(1)."""
+    facts["map_flags"] = flags = Flags(phi.claimed_positive, *phi.unital_contractive())
+    _require(name, enforce, **facts)
+    if not enforce and CHECKS[name].broken(facts):
         return "ablated"
-    raise HypothesisError(
-        f"map kind {phi.kind!r} (positive={positive}, unital={unital}, "
-        f"contractive={contractive}) with function {f.label} satisfies neither the "
-        f"unital-convex nor the contractive-f(0)=0 hypothesis set"
-    )
+    return "unital" if flags.unital else "contractive"
 
 
 def check_petz(
@@ -336,7 +319,7 @@ def check_petz(
 ) -> CheckReport:
     """tau(f(Phi(x))) <= tau(Phi(f(x))) on the output algebra."""
     xm = hermitize(x)
-    branch = _petz_branch(phi, f, enforce_hypotheses)
+    branch = _petz_branch("check_petz", phi, enforce_hypotheses, f=f)
     y = symmetrize(apply_map(phi, xm))
     lhs = algebra.trace(matrix_function(y, f))
     rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))
@@ -359,9 +342,7 @@ def check_vector_jensen(
     v = as_complex(xi).reshape(-1)
     if v.shape[0] != phi.out_dim:
         raise DimensionError(f"xi has dim {v.shape[0]}, expected {phi.out_dim}")
-    if enforce_hypotheses and abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise HypothesisError("xi must be a unit vector")
-    branch = _petz_branch(phi, f, enforce_hypotheses)
+    branch = _petz_branch("check_vector_jensen", phi, enforce_hypotheses, f=f, xi=v)
     mean = float((v.conj() @ apply_map(phi, xm) @ v).real)
     lhs = f(mean)
     rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)
@@ -371,7 +352,7 @@ def check_vector_jensen(
 
 
 def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int:
-    """Constant sign of f on a compact piece, sampled; raises on sign change.
+    """Constant sign of f on a compact piece, sampled; 0 if it changes sign.
 
     Sampling is restricted to the part of the piece inside f's domain (the
     part outside cannot carry spectrum); an empty overlap counts as
@@ -388,7 +369,7 @@ def _piece_sign(f: ScalarFunction, piece: Interval, tol: ToleranceConfig) -> int
         return 1
     if np.all(vals <= eps):
         return -1
-    raise HypothesisError(f"function changes sign on piece {piece}")
+    return 0
 
 
 def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) -> Interval:
@@ -458,11 +439,12 @@ def check_spectral_preorder_lemma(
     eigensolve.
     """
     xm = hermitize(x)
-    branch = _petz_branch(phi, f, enforce_hypotheses)
     y = symmetrize(apply_map(phi, xm))
     dec_y = phi_x_decomp if phi_x_decomp is not None else hermitian_eig(y)
     piece = _snap_piece(piece, dec_y.eigenvalues, tol)
     sign = _piece_sign(f, piece, tol)
+    branch = _petz_branch("check_spectral_preorder_lemma", phi, enforce_hypotheses,
+                          f=f, piece_sign=sign)
     p = spectral_projection(y, piece, tol, decomp=dec_y)
     fy = matrix_function(y, f, decomp=dec_y)
     phi_fx = symmetrize(apply_map(phi, matrix_function(xm, f)))
@@ -514,7 +496,7 @@ def check_pinching_chain(
       (4) Jordan minimality: tau(E(Y)_+-) <= tau(E(Y_+-)) for Y = Phi(f(x)).
     """
     xm = hermitize(x)
-    branch = _petz_branch(phi, f, enforce_hypotheses)
+    branch = _petz_branch("check_pinching_chain", phi, enforce_hypotheses, f=f)
     y = symmetrize(apply_map(phi, xm))
     dec_y = hermitian_eig(y)
     split = monotone_sign_split(f, working_interval(dec_y.eigenvalues, domain=f.domain))
@@ -610,27 +592,19 @@ def check_state_version(
     tol: ToleranceConfig = DEFAULT_TOL,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
-    """Normal-state version: for states rho_i(y) = Tr(D_i y), a contraction a,
-    and operator convex f,
+    """Normal-state version: for faithful states rho_i(y) = Tr(D_i y), a
+    contraction a, and operator convex f with f(0) <= 0 unless a is unitary,
       rho_2 f[(rho_1 x id)((a* x 1) H (a x 1))] <= rho_1(a* (id x rho_2)(f(H)) a).
     """
     Hm = hermitize(H)
     am = as_complex(a)
     d1_m = hermitize(rho1)
     d2_m = hermitize(rho2)
-    if enforce_hypotheses:
-        if not f.is_operator_convex:
-            raise HypothesisError(f"function {f.label} is not flagged operator convex")
-        if opnorm(am) > 1.0 + _HYPOTHESIS_SLACK:
-            raise HypothesisError("a must be a contraction")
-        for name, dm, dim in (("rho1", d1_m, space.d1), ("rho2", d2_m, space.d2)):
-            if dm.shape != (dim, dim):
-                raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
-            w = hermitian_eigvals(dm)
-            if w[0] <= 0.0:
-                raise HypothesisError(f"{name} must be faithful (min eigenvalue > 0)")
-            if abs(float(np.sum(w)) - 1.0) > _HYPOTHESIS_SLACK:
-                raise HypothesisError(f"{name} must have unit trace")
+    for name, dm, dim in (("rho1", d1_m, space.d1), ("rho2", d2_m, space.d2)):
+        if dm.shape != (dim, dim):
+            raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
+    _require("check_state_version", enforce_hypotheses, f=f, a=am,
+             a_unitary=_is_numerically_unitary(am), tol=tol, rho1=d1_m, rho2=d2_m)
     X = conjugate_compress(Hm, am, space)
     compressed = symmetrize(
         slice_map(X, LinearFunctional.from_state(d1_m), "left", space)
@@ -670,17 +644,7 @@ def check_hansen_pedersen(
     Hm = hermitize(H)
     am = as_complex(a)
     unitary = _is_numerically_unitary(am)
-    if enforce_hypotheses:
-        if not f.is_operator_convex:
-            raise HypothesisError(f"function {f.label} is not flagged operator convex")
-        if opnorm(am) > 1.0 + _HYPOTHESIS_SLACK:
-            raise HypothesisError("a must be a contraction")
-        if not unitary:
-            if not f.defined_at_zero() or f(0.0) > tol.bound():
-                raise HypothesisError(
-                    f"contractive operator Jensen needs f(0) <= 0; {f.label} fails "
-                    f"(use a unitary a instead)"
-                )
+    _require("check_hansen_pedersen", enforce_hypotheses, f=f, a=am, a_unitary=unitary, tol=tol)
     fH = matrix_function(Hm, f)
     compressed = symmetrize(conjugate_compress(Hm, am, space))
     lhs_mat = matrix_function(compressed, f)
@@ -696,6 +660,48 @@ def check_hansen_pedersen(
     return _report(
         "check_hansen_pedersen", params, 0.0, lam_min, lam_min, tol_val, passed, inputs
     )
+
+
+# ---------------------------------------------------------------------------
+# Hypotheses: each a name and a predicate over the facts it reads, passed as
+# keyword arguments: f, branch, map_flags, rho_spectrum, norm_sq, a,
+# a_unitary, tol, xi, piece_sign, rho1, rho2. A campaign cell fixes f, branch
+# and map_flags.
+# ---------------------------------------------------------------------------
+
+_CONVEX = {"f_convex": lambda f: f.is_convex}
+# Petz-type checks: a unital positive map, or a contractive one with f(0) = 0.
+_PETZ = dict(
+    _CONVEX,
+    map_positive=lambda map_flags: map_flags.positive,
+    map_unital_or_contractive=lambda map_flags: map_flags.unital or map_flags.contractive,
+    f0_zero_unless_map_unital=lambda f, map_flags: map_flags.unital or f.vanishes_at_zero,
+)
+# Compressions by a contraction a: operator convex f, with f(0) <= 0 unless
+# a is unitary.
+_COMPRESSION = {
+    "f_operator_convex": lambda f: f.is_operator_convex,
+    "a_contraction": lambda a: opnorm(a) <= 1.0 + _HYPOTHESIS_SLACK,
+    "f0_nonpositive_unless_a_unitary": lambda f, a_unitary, tol: a_unitary or (
+        f.defined_at_zero() and f(0.0) <= tol.bound()),
+}
+
+
+def _unit_trace(spectrum: np.ndarray) -> bool:
+    return abs(float(np.sum(spectrum)) - 1.0) <= _HYPOTHESIS_SLACK
+
+
+def _faithful_state(rho: np.ndarray) -> bool:
+    w = hermitian_eigvals(rho)
+    return w[0] > 0.0 and _unit_trace(w)
+
+
+def _require(name: str, enforce: bool, **facts) -> None:
+    """With `enforce`, raise a HypothesisError naming every hypothesis of
+    check `name` that `facts` break; without, evaluate nothing."""
+    broken = CHECKS[name].broken(facts) if enforce else None
+    if broken:
+        raise HypothesisError(f"{name}: hypotheses fail: {', '.join(broken)}", broken)
 
 
 # ---------------------------------------------------------------------------
@@ -730,18 +736,6 @@ def _subnormalized_element(dim: int, rng: np.random.Generator, w1: float) -> np.
     s = rng.uniform(0.05, 0.95)
     norm_sq = w1 * float(np.trace(g.conj().T @ g).real)
     return g * (s / math.sqrt(norm_sq))
-
-
-def _contraction_for(f: ScalarFunction, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A contraction compatible with f for the state-version checks.
-
-    The operator-level contractive inequality needs f(0) <= 0; for functions
-    undefined at 0 or positive there, a unitary (still a contraction) is the
-    valid instance class, since unitary compression is a *-isomorphism.
-    """
-    if not f.defined_at_zero() or f(0.0) > 0.0:
-        return random_unitary(dim, rng)
-    return random_contraction(dim, rng)
 
 
 # A campaign cell carries the sweep axes (d1, d2, function, map_kind, w1, w2,
@@ -807,41 +801,25 @@ def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
                 weights=_weights(cell))
 
 
+_EXACT = ToleranceConfig(atol=0.0, rtol=0.0)
+
+
 def _draw_compression(cell: dict, rng: np.random.Generator) -> dict:
-    """H with spectrum in f's domain and a contraction a suited to f."""
+    """H with spectrum in f's domain and a contraction a: a non-unitary one
+    where the f(0) hypothesis lets one through (asked at zero tolerance),
+    else a unitary, since unitary compression is a *-isomorphism."""
     f, space = cell["function"], _space(cell)
+    lets_through = _COMPRESSION["f0_nonpositive_unless_a_unitary"](
+        f=f, a_unitary=False, tol=_EXACT)
+    draw_a = random_contraction if lets_through else random_unitary
     return dict(H=_fit_spectrum(random_hermitian(space.total_dim, rng), f),
-                a=_contraction_for(f, space.d1, rng), f=f, space=space)
+                a=draw_a(space.d1, rng), f=f, space=space)
 
 
 def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
     inputs = _draw_compression(cell, rng)
     d1, d2 = inputs["space"].d1, inputs["space"].d2
     return dict(inputs, rho1=_faithful_density(d1, rng), rho2=_faithful_density(d2, rng))
-
-
-# Whether a cell is a valid instance of a check's hypotheses.
-
-def _convex(cell: dict) -> bool:
-    return cell.get("function") is not None and cell["function"].is_convex
-
-
-def _operator_convex(cell: dict) -> bool:
-    return cell.get("function") is not None and cell["function"].is_operator_convex
-
-
-def _main_tracial_compatible(cell: dict) -> bool:
-    """The subnormalized branch also needs f(0) = 0."""
-    return _convex(cell) and (
-        cell.get("branch") != "subnormalized" or cell["function"].vanishes_at_zero
-    )
-
-
-def _petz_compatible(cell: dict) -> bool:
-    """Unital map kinds need convex f; the other kinds also need f(0) = 0."""
-    return cell.get("map_kind") is not None and _convex(cell) and (
-        cell["map_kind"] in _UNITAL_KINDS or cell["function"].vanishes_at_zero
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -922,22 +900,43 @@ _UNRECORDED = ("phi_x_decomp",)
 class CheckSpec:
     """Everything the campaign runner and replay know about one check.
 
-    `axes` are the campaign-config axes its cells sweep, `compatible(cell)`
-    says whether a cell satisfies its hypotheses, and `draw(cell, rng)` gives
-    the keyword inputs of one random instance (and its report labels, under
-    `labels`). A witness records every argument of the check except those in
-    `_UNRECORDED`.
+    `axes` are the campaign-config axes its cells sweep, and `draw(cell,
+    rng)` gives the keyword inputs of one random instance (and its report
+    labels, under `labels`). `hypotheses` maps the name of each hypothesis
+    of the inequality to a predicate over the facts it reads, as keyword
+    arguments. The check passes its facts to one `_require` call, and
+    `compatible(cell)` evaluates the hypotheses whose facts a cell fixes. A
+    witness records every argument of the check except those in `_UNRECORDED`.
     """
 
     name: str
     axes: tuple[str, ...]
-    compatible: Callable[[dict], bool]
     draw: Callable[[dict, np.random.Generator], dict]
+    hypotheses: dict[str, Callable[..., bool]]
 
     @functools.cached_property
     def args(self) -> tuple[str, ...]:
         params = inspect.signature(globals()[self.name]).parameters
         return tuple(arg for arg in params if arg not in _UNRECORDED)
+
+    @functools.cached_property
+    def _predicates(self) -> tuple[tuple[str, Callable[..., bool], tuple[str, ...]], ...]:
+        """(name, predicate, the facts it reads in parameter order) per hypothesis."""
+        return tuple((name, holds, tuple(inspect.signature(holds).parameters))
+                     for name, holds in self.hypotheses.items())
+
+    def broken(self, facts: dict) -> list[str]:
+        """The names of the hypotheses that fail on `facts`, skipping those
+        that read a fact not given."""
+        return [name for name, holds, reads in self._predicates
+                if all(k in facts for k in reads) and not holds(*[facts[k] for k in reads])]
+
+    def compatible(self, cell: dict) -> bool:
+        """Whether a campaign cell meets the hypotheses whose facts it fixes:
+        f, branch, and map_flags, the flags its map kind is built with."""
+        facts = {"f": cell.get("function"), "branch": cell.get("branch"),
+                 "map_flags": KIND_FLAGS.get(cell.get("map_kind"))}
+        return not self.broken({k: v for k, v in facts.items() if v is not None})
 
     def encode(self, inputs: dict) -> dict:
         out: dict = {}
@@ -956,21 +955,32 @@ class CheckSpec:
 _MAP_AXES = ("dims", "functions", "map_kinds", "weights")
 
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("check_cfl", ("dims", "functions"), _convex, _draw_cfl),
+    CheckSpec("check_cfl", ("dims", "functions"), _draw_cfl, dict(
+        _CONVEX,
+        rho_unit_trace=lambda rho_spectrum: _unit_trace(rho_spectrum),
+        rho_positive=lambda rho_spectrum: rho_spectrum[0] >= -_HYPOTHESIS_SLACK)),
     CheckSpec("check_main_tracial", ("dims", "functions", "weights", "branches"),
-              _main_tracial_compatible, _draw_main_tracial),
-    CheckSpec("check_petz", _MAP_AXES, _petz_compatible, _draw_map_input),
-    CheckSpec("check_vector_jensen", ("dims", "functions", "map_kinds"),
-              _petz_compatible, _draw_vector_jensen),
-    CheckSpec("check_spectral_preorder_lemma", _MAP_AXES, _petz_compatible,
-              _draw_preorder_lemma),
-    CheckSpec("check_pinching_chain", _MAP_AXES, _petz_compatible, _draw_map_input),
-    CheckSpec("check_partial_trace_duality", ("dims", "weights"), lambda cell: True,
-              _draw_duality),
-    CheckSpec("check_state_version", ("dims", "functions"), _operator_convex,
-              _draw_state_version),
-    CheckSpec("check_hansen_pedersen", ("dims", "functions"), _operator_convex,
-              _draw_compression),
+              _draw_main_tracial, dict(
+        _CONVEX,
+        a_unit_l2_if_normalized=lambda branch, norm_sq:
+            branch != "normalized" or abs(norm_sq - 1.0) <= _HYPOTHESIS_SLACK,
+        a_subunit_l2_if_subnormalized=lambda branch, norm_sq:
+            branch != "subnormalized" or norm_sq <= 1.0 + _HYPOTHESIS_SLACK,
+        f0_zero_if_subnormalized=lambda f, branch:
+            branch != "subnormalized" or f.vanishes_at_zero)),
+    CheckSpec("check_petz", _MAP_AXES, _draw_map_input, _PETZ),
+    CheckSpec("check_vector_jensen", ("dims", "functions", "map_kinds"), _draw_vector_jensen,
+              dict(_PETZ, xi_unit=lambda xi: abs(np.linalg.norm(xi) - 1.0) <= 1e-12)),
+    CheckSpec("check_spectral_preorder_lemma", _MAP_AXES, _draw_preorder_lemma,
+              dict(_PETZ, f_one_sign_on_piece=lambda piece_sign: piece_sign != 0)),
+    CheckSpec("check_pinching_chain", _MAP_AXES, _draw_map_input, _PETZ),
+    CheckSpec("check_partial_trace_duality", ("dims", "weights"), _draw_duality, {}),
+    CheckSpec("check_state_version", ("dims", "functions"), _draw_state_version, dict(
+        _COMPRESSION,
+        rho1_faithful_state=lambda rho1: _faithful_state(rho1),
+        rho2_faithful_state=lambda rho2: _faithful_state(rho2))),
+    CheckSpec("check_hansen_pedersen", ("dims", "functions"), _draw_compression,
+              _COMPRESSION),
 )}
 
 
@@ -991,9 +1001,12 @@ def generate_trial(
 
     `entropy` keys the RNG stream, so identical (cell, entropy) always
     reproduces the same trial. The report is stamped with the stream's token
-    as its seed and with the draw's labels.
+    as its seed and with the draw's labels. An unknown check or a negative
+    entropy entry is a usage error.
     """
-    spec = CHECKS[check_name]
+    spec = lookup_check(check_name)
+    if any(e < 0 for e in entropy):
+        raise UsageError(f"seed and trial entropy must be non-negative, got {tuple(entropy)}")
     rng, token = random_stream(*entropy)
     inputs = spec.draw(cell, rng)
     labels = inputs.pop("labels", {})
@@ -1103,16 +1116,18 @@ def _state_instance(n: int, rng: np.random.Generator) -> dict:
                 rho2=_faithful_density(n, rng), space=TensorSpace(n, n))
 
 
-# Each ablation target: the check it runs with hypotheses off, and
-# draw(n, rng), the keyword inputs of one instance on dimension n.
-_ABLATIONS: dict[str, tuple[str, Callable[[int, np.random.Generator], dict]]] = {
-    "petz_drop_f0": ("check_petz", _petz_instance(
+# Each ablation target: the check it runs with hypotheses off, the one
+# hypothesis its instances break, and draw(n, rng), the keyword inputs of
+# one instance on dimension n.
+_ABLATIONS: dict[str, tuple[str, str, Callable[[int, np.random.Generator], dict]]] = {
+    "petz_drop_f0": ("check_petz", "f0_zero_unless_map_unital", _petz_instance(
         lambda n, rng: random_positive_map("zero", n, n, rng),
         get_function("shifted_square", (1.0,)))),
-    "state_drop_opconvex": ("check_state_version", _state_instance),
-    "drop_positivity": ("check_petz", _petz_instance(
+    "state_drop_opconvex": ("check_state_version", "f_operator_convex", _state_instance),
+    "drop_positivity": ("check_petz", "map_positive", _petz_instance(
         _nonpositive_unital_map, get_function("quartic"))),
-    "drop_contractive": ("check_petz", _petz_instance(_expansive_map, get_function("square"))),
+    "drop_contractive": ("check_petz", "map_unital_or_contractive",
+                         _petz_instance(_expansive_map, get_function("square"))),
 }
 ABLATION_TARGETS = tuple(_ABLATIONS)
 
@@ -1140,7 +1155,7 @@ def ablation_search(
         raise UsageError("ablation_search needs at least one dimension")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    check_name, draw = _ABLATIONS[target]
+    check_name, _, draw = _ABLATIONS[target]
     spec = CHECKS[check_name]
     worst_gap = math.inf
     worst: CheckReport | None = None

@@ -390,7 +390,8 @@ def random_l2_normalized(dim: int, rng: np.random.Generator, weight: float = 1.0
     return g / math.sqrt(norm_sq)
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Positive square root of a positive semidefinite matrix."""
-    dec = hermitian_eig(m)
+def psd_sqrt(m, decomp: SpectralDecomposition | None = None) -> np.ndarray:
+    """Positive square root of a positive semidefinite matrix, negative
+    eigenvalues clipped to 0. Passing m's decomposition skips the eigensolve."""
+    dec = decomp if decomp is not None else hermitian_eig(m)
     return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))

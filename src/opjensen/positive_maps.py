@@ -10,6 +10,7 @@ examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .tensor_ops import TensorSpace
 __all__ = [
     "PositiveMap",
     "MAP_KINDS",
+    "KIND_FLAGS",
+    "Flags",
     "apply_map",
     "choi_matrix",
     "identity_map",
@@ -39,10 +42,25 @@ __all__ = [
     "MapFlags",
 ]
 
-MAP_KINDS = ("ucp_stinespring", "transpose", "pinching", "scaled_contractive", "zero")
-# The kinds whose maps are unital; the others are contractive only, so the
-# Petz-type checks also need f(0) = 0 on them.
-_UNITAL_KINDS = ("ucp_stinespring", "transpose", "pinching")
+
+class Flags(NamedTuple):
+    """Whether a map is positive, unital and contractive."""
+
+    positive: bool
+    unital: bool
+    contractive: bool
+
+
+# The flags each kind's maps are built with: the kinds that are not unital
+# are contractive only.
+KIND_FLAGS = {
+    "ucp_stinespring": Flags(True, True, True),
+    "transpose": Flags(True, True, True),
+    "pinching": Flags(True, True, True),
+    "scaled_contractive": Flags(True, False, True),
+    "zero": Flags(True, False, True),
+}
+MAP_KINDS = tuple(KIND_FLAGS)
 
 _FLAG_TOL = 1e-10  # slack of the numerically derived map flags
 

@@ -544,3 +544,20 @@ def test_cli_replay_malformed_values(tmp_path, capsys):
     rec["witness"]["inputs"]["enforce_hypotheses"] = "false"
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "enforce_hypotheses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("checks", "check_cfl"), ("functions", "square"), ("map_kinds", "zero"),
+    ("checks", {"check_cfl": 1}), ("functions", ["square", 2]),
+])
+def test_config_list_keys_must_be_json_lists_of_strings(key, value):
+    # a bare string used to be read as its characters: unknown check 'c'
+    with pytest.raises(UsageError, match=f"'{key}' must be a JSON list"):
+        CampaignConfig.from_dict({"checks": ["check_cfl"], key: value})
+
+
+def test_cli_config_with_string_checks_exits_usage(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checks": "check_cfl"}))
+    assert cli_entry(["campaign", "--config", str(path)]) == EXIT_USAGE
+    assert "'checks'" in capsys.readouterr().err

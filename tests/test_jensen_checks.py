@@ -877,3 +877,37 @@ def test_replay_rejects_malformed_reports():
     del rec["witness"]["inputs"]["x"]
     with pytest.raises(UsageError):
         replay_report(rec)
+
+
+# ---------------------------------------------------------------------------
+# trial drivers: usage errors before any draw
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(*entropy):
+        raise AssertionError(f"drew a stream for {entropy}")
+
+    monkeypatch.setattr(jensen_checks, "random_stream", refuse)
+
+
+CFL_CELL = {"d1": 2, "d2": 2, "function": get_function("square")}
+
+
+@pytest.mark.parametrize("entropy", [(-1, 0), (3, -2)])
+def test_generate_trial_negative_entropy_is_usage_error(no_draws, entropy):
+    with pytest.raises(UsageError, match="non-negative"):
+        generate_trial("check_cfl", CFL_CELL, entropy)
+
+
+@pytest.mark.parametrize("seed, index", [(-5, 0), (5, -1)])
+def test_run_trial_negative_seed_is_usage_error(no_draws, seed, index):
+    with pytest.raises(UsageError, match="non-negative"):
+        run_trial("check_cfl", CFL_CELL, seed, index)
+
+
+def test_trial_drivers_unknown_check_is_usage_error(no_draws):
+    with pytest.raises(UsageError, match="valid checks: check_cfl"):
+        generate_trial("check_nope", CFL_CELL, (1, 0))
+    with pytest.raises(UsageError, match="valid checks: check_cfl"):
+        run_trial("check_nope", CFL_CELL, 1, 0)

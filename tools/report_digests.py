@@ -14,7 +14,12 @@ printed lines to show that a change leaves the report bytes as they were:
   * the ablation lines: for each of `ABLATION_TARGETS`,
     `ablation_search(target, 12, [2, 3, 4], 1)`, written as the witness's
     `to_json_line()`, or `repr(max_violation)` when there is no witness,
-    joined by newlines.
+    joined by newlines;
+  * the cells: for each check of `CHECKS`, the `_cell_key` and the weights
+    of every cell `expand_cells` keeps from a config over `CELL_FUNCTIONS`,
+    every map kind and the weights (1, 1) and (0.3, 2.5), one cell a line.
+    It shows that the cells a campaign runs, which the check registry's
+    hypotheses filter, are as they were.
 
 The package is imported from the `src/` directory next to this script. This
 is a tool, not a test: LAPACK/BLAS results, and so the bytes, are not
@@ -34,11 +39,19 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from opjensen.harness_cli import (  # noqa: E402
     CampaignConfig,
+    _cell_key,
     _csv_path_for,
     default_campaign,
+    expand_cells,
     run_campaign,
 )
-from opjensen.jensen_checks import ABLATION_TARGETS, ablation_search  # noqa: E402
+from opjensen.jensen_checks import ABLATION_TARGETS, CHECKS, ablation_search  # noqa: E402
+from opjensen.positive_maps import MAP_KINDS  # noqa: E402
+
+CELL_FUNCTIONS = [
+    "square", "abs", "quartic", "exp", "hinge:0", "shifted_square:-1", "shifted_square:1",
+    "entropy", "inv", "neglog", "power:1.5", "power:3", "linear:2", "const:-1", "const:1",
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -85,6 +98,13 @@ def _ablation_lines() -> str:
     return "\n".join(lines)
 
 
+def _cell_lines() -> str:
+    config = CampaignConfig(checks=list(CHECKS), functions=CELL_FUNCTIONS,
+                            map_kinds=list(MAP_KINDS), weights=[(1.0, 1.0), (0.3, 2.5)])
+    return "\n".join(f"{_cell_key(name, cell)!r} {cell['w1']!r} {cell['w2']!r}"
+                     for name in CHECKS for cell in expand_cells(config, name))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in (42, 7):
@@ -93,6 +113,7 @@ def main() -> None:
                           jobs, out_dir)
         _campaign("cfl_campaign seed=101", _cfl_campaign(), 2, out_dir)
     print(f"ablation_lines {_sha256(_ablation_lines().encode('utf-8'))}")
+    print(f"cells {_sha256(_cell_lines().encode('utf-8'))}")
 
 
 if __name__ == "__main__":
