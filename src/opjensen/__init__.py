@@ -43,7 +43,7 @@ from .linalg_core import (
     rng_stream,
 )
 from .harness_cli import CampaignConfig, cli_entry, default_campaign, run_campaign
-from .positive_maps import PositiveMap, apply_map, map_flags, random_positive_map, slice_compress_map
+from .positive_maps import PositiveMap, apply_map, random_positive_map, slice_compress_map
 from .reporting import CheckReport
 from .spectral_tools import (
     MonotoneSplit,

@@ -71,67 +71,60 @@ class ScalarFunction:
         return self.domain.contains(0.0)
 
 
-def _entropy(t: float) -> float:
+def _xlogx(t: float) -> float:
     return 0.0 if t == 0.0 else t * math.log(t)
 
 
-def _make_square(params):
+def _square():
     return ScalarFunction(
         "square", (), lambda t: t * t, REAL_LINE, True, True, True, poly=(0.0, 0.0, 1.0)
     )
 
 
-def _make_abs(params):
+def _abs():
     return ScalarFunction("abs", (), abs, REAL_LINE, True, False, True)
 
 
-def _make_quartic(params):
+def _quartic():
     return ScalarFunction(
         "quartic", (), lambda t: t ** 4, REAL_LINE, True, False, True,
         poly=(0.0, 0.0, 0.0, 0.0, 1.0),
     )
 
 
-def _make_exp(params):
+def _exp():
     return ScalarFunction("exp", (), math.exp, REAL_LINE, True, False, False)
 
 
-def _make_hinge(params):
-    c = float(params[0]) if params else 0.0
+def _hinge(c):
     return ScalarFunction(
         "hinge", (c,), lambda t: max(t - c, 0.0), REAL_LINE, True, False,
         vanishes_at_zero=(c >= 0.0),
     )
 
 
-def _make_shifted_square(params):
-    if not params:
-        raise UnknownFunctionError("shifted_square needs a shift parameter c")
-    c = float(params[0])
+def _shifted_square(c):
     return ScalarFunction(
         "shifted_square", (c,), lambda t: t * t + c, REAL_LINE, True, True,
         vanishes_at_zero=(c == 0.0), poly=(c, 0.0, 1.0),
     )
 
 
-def _make_entropy(params):
-    return ScalarFunction("entropy", (), _entropy, _POSITIVE_AXIS, True, True, True)
+def _entropy():
+    return ScalarFunction("entropy", (), _xlogx, _POSITIVE_AXIS, True, True, True)
 
 
-def _make_inv(params):
+def _inv():
     return ScalarFunction("inv", (), lambda t: 1.0 / t, _STRICT_POSITIVE, True, True, False)
 
 
-def _make_neglog(params):
+def _neglog():
     return ScalarFunction(
         "neglog", (), lambda t: -math.log(t), _STRICT_POSITIVE, True, True, False
     )
 
 
-def _make_power(params):
-    if not params:
-        raise UnknownFunctionError("power needs an exponent parameter p")
-    p = float(params[0])
+def _power(p):
     if p < 1.0:
         raise UnknownFunctionError(f"power exponent must be >= 1 (t^p is not convex below), got {p}")
     return ScalarFunction(
@@ -141,36 +134,34 @@ def _make_power(params):
     )
 
 
-def _make_linear(params):
-    alpha = float(params[0]) if params else 1.0
+def _linear(alpha):
     return ScalarFunction(
         "linear", (alpha,), lambda t: alpha * t, REAL_LINE, True, True, True, poly=(0.0, alpha)
     )
 
 
-def _make_const(params):
-    if not params:
-        raise UnknownFunctionError("const needs a value parameter c")
-    c = float(params[0])
+def _const(c):
     return ScalarFunction(
         "const", (c,), lambda t: c, REAL_LINE, True, True, vanishes_at_zero=(c == 0.0),
         poly=(c,),
     )
 
 
-_CATALOG: dict[str, Callable[[tuple[float, ...]], ScalarFunction]] = {
-    "square": _make_square,
-    "abs": _make_abs,
-    "quartic": _make_quartic,
-    "exp": _make_exp,
-    "hinge": _make_hinge,
-    "shifted_square": _make_shifted_square,
-    "entropy": _make_entropy,
-    "inv": _make_inv,
-    "neglog": _make_neglog,
-    "power": _make_power,
-    "linear": _make_linear,
-    "const": _make_const,
+# Each name's factory and the defaults of its parameters, in order; None
+# marks a parameter the spec must give.
+_CATALOG: dict[str, tuple[Callable[..., ScalarFunction], tuple[float | None, ...]]] = {
+    "square": (_square, ()),
+    "abs": (_abs, ()),
+    "quartic": (_quartic, ()),
+    "exp": (_exp, ()),
+    "hinge": (_hinge, (0.0,)),
+    "shifted_square": (_shifted_square, (None,)),
+    "entropy": (_entropy, ()),
+    "inv": (_inv, ()),
+    "neglog": (_neglog, ()),
+    "power": (_power, (None,)),
+    "linear": (_linear, (1.0,)),
+    "const": (_const, (None,)),
 }
 
 
@@ -179,13 +170,20 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def get_function(name: str, params: tuple[float, ...] | list[float] = ()) -> ScalarFunction:
+    """Catalog function `name`, omitted trailing parameters set to their
+    defaults; too many, or a missing required one, is an UnknownFunctionError."""
     try:
-        factory = _CATALOG[name]
+        factory, defaults = _CATALOG[name]
     except KeyError:
         raise UnknownFunctionError(
             f"unknown function {name!r}; valid names: {', '.join(catalog_names())}"
         ) from None
-    return factory(tuple(float(p) for p in params))
+    given = tuple(float(p) for p in params)
+    full = given + defaults[len(given):]
+    if len(given) > len(defaults) or None in full:
+        raise UnknownFunctionError(
+            f"function {name!r} takes {len(defaults)} parameter(s), got {len(given)}")
+    return factory(*full)
 
 
 def parse_function_spec(spec: str) -> ScalarFunction:

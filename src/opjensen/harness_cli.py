@@ -292,19 +292,22 @@ def _write_summary_csv(path: str, tasks: list[tuple], results: list[tuple]) -> N
         st["trials"] += 1
         st["failures"] += 0 if passed else 1
         st["gaps"].append(gap)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "check", "d1", "d2", "function", "map_kind",
-            "trials", "failures", "min_gap", "max_gap", "mean_gap",
-        ])
-        for key in order:
-            st = stats[key]
-            gaps = st["gaps"]
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow([
-                *key, st["trials"], st["failures"],
-                repr(min(gaps)), repr(max(gaps)), repr(sum(gaps) / len(gaps)),
+                "check", "d1", "d2", "function", "map_kind",
+                "trials", "failures", "min_gap", "max_gap", "mean_gap",
             ])
+            for key in order:
+                st = stats[key]
+                gaps = st["gaps"]
+                writer.writerow([
+                    *key, st["trials"], st["failures"],
+                    repr(min(gaps)), repr(max(gaps)), repr(sum(gaps) / len(gaps)),
+                ])
+    except OSError as exc:
+        raise UsageError(f"cannot write summary file {path!r}: {exc}") from exc
 
 
 def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:

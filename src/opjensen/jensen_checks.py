@@ -302,7 +302,7 @@ def _petz_branch(name: str, phi: PositiveMap, enforce: bool, **facts) -> str:
     'contractive' with f(0) = 0; 'ablated' when, hypotheses off, one fails.
     The map's positivity is as claimed, its unitality and contractivity as
     measured on Phi(1)."""
-    facts["map_flags"] = flags = Flags(phi.claimed_positive, *phi.unital_contractive())
+    facts["phi_flags"] = flags = Flags(phi.claimed_positive, *phi.unital_contractive())
     _require(name, enforce, **facts)
     if not enforce and CHECKS[name].broken(facts):
         return "ablated"
@@ -664,18 +664,18 @@ def check_hansen_pedersen(
 
 # ---------------------------------------------------------------------------
 # Hypotheses: each a name and a predicate over the facts it reads, passed as
-# keyword arguments: f, branch, map_flags, rho_spectrum, norm_sq, a,
+# keyword arguments: f, branch, phi_flags, rho_spectrum, norm_sq, a,
 # a_unitary, tol, xi, piece_sign, rho1, rho2. A campaign cell fixes f, branch
-# and map_flags.
+# and phi_flags.
 # ---------------------------------------------------------------------------
 
 _CONVEX = {"f_convex": lambda f: f.is_convex}
 # Petz-type checks: a unital positive map, or a contractive one with f(0) = 0.
 _PETZ = dict(
     _CONVEX,
-    map_positive=lambda map_flags: map_flags.positive,
-    map_unital_or_contractive=lambda map_flags: map_flags.unital or map_flags.contractive,
-    f0_zero_unless_map_unital=lambda f, map_flags: map_flags.unital or f.vanishes_at_zero,
+    map_positive=lambda phi_flags: phi_flags.positive,
+    map_unital_or_contractive=lambda phi_flags: phi_flags.unital or phi_flags.contractive,
+    f0_zero_unless_map_unital=lambda f, phi_flags: phi_flags.unital or f.vanishes_at_zero,
 )
 # Compressions by a contraction a: operator convex f, with f(0) <= 0 unless
 # a is unitary.
@@ -933,9 +933,9 @@ class CheckSpec:
 
     def compatible(self, cell: dict) -> bool:
         """Whether a campaign cell meets the hypotheses whose facts it fixes:
-        f, branch, and map_flags, the flags its map kind is built with."""
+        f, branch, and phi_flags, the flags its map kind is built with."""
         facts = {"f": cell.get("function"), "branch": cell.get("branch"),
-                 "map_flags": KIND_FLAGS.get(cell.get("map_kind"))}
+                 "phi_flags": KIND_FLAGS.get(cell.get("map_kind"))}
         return not self.broken({k: v for k, v in facts.items() if v is not None})
 
     def encode(self, inputs: dict) -> dict:
@@ -1153,8 +1153,9 @@ def ablation_search(
         )
     if not dims:
         raise UsageError("ablation_search needs at least one dimension")
-    if seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    for what, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
+            raise UsageError(f"{what} must be a non-negative integer, got {value}")
     check_name, _, draw = _ABLATIONS[target]
     spec = CHECKS[check_name]
     worst_gap = math.inf

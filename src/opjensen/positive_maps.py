@@ -22,8 +22,6 @@ from .linalg_core import (
     hermitian_eigvals,
     kron,
     random_unitary,
-    rng_stream,
-    symmetrize,
 )
 from .tensor_ops import TensorSpace
 
@@ -38,8 +36,6 @@ __all__ = [
     "transpose_map",
     "slice_compress_map",
     "random_positive_map",
-    "map_flags",
-    "MapFlags",
 ]
 
 
@@ -72,8 +68,8 @@ class PositiveMap:
     Exactly one of `kraus` / `action` is set. Kraus maps act as
     sum_k V_k* x V_k with V_k of shape (in_dim, out_dim); generic maps act on
     column-major vectorizations through an (out_dim^2 x in_dim^2) matrix.
-    Claimed flags record what the construction guarantees; `map_flags`
-    re-derives them numerically.
+    Claimed flags record what the construction guarantees;
+    `unital_contractive` re-derives unitality and contractivity numerically.
     """
 
     kind: str
@@ -273,27 +269,3 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
             claimed_positive=True, claimed_unital=False, claimed_contractive=True,
         )
     raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-
-
-@dataclass(frozen=True)
-class MapFlags:
-    unital: bool
-    contractive: bool
-    positivity_sampled: bool
-
-
-def map_flags(phi: PositiveMap, trials: int = 16, seed: int = 0) -> MapFlags:
-    """Numerically derived flags: `PositiveMap.unital_contractive` plus
-    positivity sampled on random rank-deficient inputs g g*.
-    """
-    unital, contractive = phi.unital_contractive()
-    rng = rng_stream(seed)
-    positive = True
-    for _ in range(trials):
-        g = complex_gaussian(rng, phi.in_dim, phi.in_dim)
-        x = g @ g.conj().T
-        w = hermitian_eigvals(symmetrize(apply_map(phi, x)))
-        if w[0] < -_FLAG_TOL * max(1.0, float(np.max(np.abs(w)))):
-            positive = False
-            break
-    return MapFlags(unital=unital, contractive=contractive, positivity_sampled=positive)

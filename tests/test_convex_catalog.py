@@ -82,6 +82,24 @@ def test_parse_function_spec():
     assert parse_function_spec("shifted_square:-1").params == (-1.0,)
 
 
+@pytest.mark.parametrize("spec", [
+    "exp:2", "square:3", "power:1.5,2", "hinge:0,1", "const:1,5", "shifted_square",
+    "power", "const",
+])
+def test_spec_takes_exactly_its_parameters(spec):
+    # extra parameters were dropped without a word: exp:2 ran exp
+    with pytest.raises(UnknownFunctionError):
+        parse_function_spec(spec)
+
+
+@pytest.mark.parametrize("spec, label", [
+    ("hinge", "hinge:0.0"), ("hinge:0.5", "hinge:0.5"), ("linear", "linear:1.0"),
+    ("power:1.5", "power:1.5"), ("const:-1", "const:-1.0"), ("square", "square"),
+])
+def test_defaults_fill_the_label(spec, label):
+    assert parse_function_spec(spec).label == label
+
+
 def test_label_round_trip():
     f = get_function("shifted_square", (-1.0,))
     assert parse_function_spec(f.label).params == f.params

@@ -407,6 +407,26 @@ def test_cli_unwritable_out_path(tmp_path, capsys):
     assert "cannot write report file" in capsys.readouterr().err
 
 
+def test_cli_campaign_unwritable_summary_path(tmp_path, capsys):
+    # the CSV summary ended in an IsADirectoryError traceback, exit 1
+    out = str(tmp_path / "rep")
+    os.mkdir(out + ".csv")
+    assert cli_entry(["campaign", "--jobs", "1", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot write summary file" in err and repr(out + ".csv") in err
+
+
+def test_cli_function_with_extra_parameters(tmp_path, capsys):
+    # exp:2 ran exp and exited 0
+    assert cli_entry(["check", "--name", "check_cfl", "--function", "exp:2",
+                      "--trials", "2"]) == EXIT_USAGE
+    assert "'exp' takes 0 parameter(s), got 1" in capsys.readouterr().err
+    cfg = {"checks": ["check_cfl"], "trials": 2, "functions": ["exp:2"],
+           "out_path": str(tmp_path / "out.jsonl")}
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(cfg["out_path"])
+
+
 def _campaign_with(tmp_path, cfg) -> int:
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:

@@ -1,6 +1,7 @@
 """Named hypotheses: each check's registry entry states them once, and they
 drive both campaign cell filtering and the guard inside the check."""
 
+import inspect
 import itertools
 import os
 import pickle
@@ -8,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from opjensen import jensen_checks
 from opjensen.convex_catalog import parse_function_spec
 from opjensen.errors import HypothesisError
 from opjensen.jensen_checks import (
@@ -117,6 +119,30 @@ def test_cell_filter_agrees_with_the_guard_in_the_check(name):
         else:
             with pytest.raises(HypothesisError):
                 run_trial(name, cell, 5, index)
+
+
+def test_every_hypothesis_receives_every_fact_it_reads(monkeypatch):
+    # CheckSpec.broken skips a hypothesis whose fact is missing, so a fact
+    # misspelt at a `_require` call would switch its hypothesis off unseen.
+    calls = []
+    original = jensen_checks._require
+
+    def recorded(name, enforce, **facts):
+        calls.append((name, set(facts)))
+        return original(name, enforce, **facts)
+
+    monkeypatch.setattr(jensen_checks, "_require", recorded)
+    for name, spec in CHECKS.items():
+        for index, cell in enumerate(_every_cell(spec.axes)):
+            if spec.compatible(cell):
+                run_trial(name, cell, 5, index)
+    assert {name for name, _ in calls} == {n for n, s in CHECKS.items() if s.hypotheses}
+    for name, given in calls:
+        reads = {h: set(inspect.signature(holds).parameters)
+                 for h, holds in CHECKS[name].hypotheses.items()}
+        for hypothesis, facts in reads.items():
+            assert facts <= given, (name, hypothesis, facts - given)
+        assert given == set().union(*reads.values()), (name, given)
 
 
 def _readme_rows() -> list[list[str]]:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -733,6 +734,15 @@ def test_ablation_negative_seed_is_usage_error_before_any_trial(check_runs):
     with pytest.raises(UsageError, match="non-negative"):
         ablation_search("petz_drop_f0", 2, [2], -5)
     assert check_runs == []
+
+
+def test_ablation_negative_trials_is_usage_error_before_any_trial(check_runs):
+    # returned trials=-3 and max_violation=inf
+    with pytest.raises(UsageError, match="trials must be a non-negative integer"):
+        ablation_search("petz_drop_f0", -3, [2], 1)
+    assert check_runs == []
+    res = ablation_search("petz_drop_f0", 0, [2], 1)
+    assert res.trials == 0 and math.isnan(res.max_violation) and res.witness is None
 
 
 def test_ablation_unknown_target_is_usage_error():

@@ -8,23 +8,38 @@ from opjensen.linalg_core import (
     complex_gaussian,
     frob,
     hermitian_eig,
+    hermitian_eigvals,
     kron,
     random_hermitian,
     random_l2_normalized,
     rng_stream,
+    symmetrize,
 )
 from opjensen.positive_maps import (
+    KIND_FLAGS,
     MAP_KINDS,
+    Flags,
     PositiveMap,
     apply_map,
     choi_matrix,
     identity_map,
-    map_flags,
     random_positive_map,
     slice_compress_map,
     transpose_map,
 )
 from opjensen.tensor_ops import TensorSpace, conjugate_compress, partial_trace
+
+
+def _measured_flags(phi: PositiveMap, trials: int, seed: int) -> Flags:
+    """Positivity sampled on random rank-deficient inputs g g*, with
+    unitality and contractivity from `phi.unital_contractive()`."""
+    rng = rng_stream(seed)
+    positive = True
+    for _ in range(trials):
+        g = complex_gaussian(rng, phi.in_dim, phi.in_dim)
+        w = hermitian_eigvals(symmetrize(apply_map(phi, g @ g.conj().T)))
+        positive = positive and w[0] >= -1e-10 * max(1.0, float(np.max(np.abs(w))))
+    return Flags(positive, *phi.unital_contractive())
 
 
 def test_identity_map():
@@ -117,8 +132,8 @@ def test_ucp_stinespring_unital_many_seeds():
 
 def test_transpose_positive_but_not_cp():
     tp = random_positive_map("transpose", 2, 2, rng_stream(0))
-    flags = map_flags(tp, trials=25, seed=1)
-    assert flags.unital and flags.contractive and flags.positivity_sampled
+    flags = _measured_flags(tp, trials=25, seed=1)
+    assert flags.unital and flags.contractive and flags.positive
     choi = choi_matrix(tp)
     w = hermitian_eig(choi).eigenvalues
     assert w[0] < -0.99  # negative Choi eigenvalue: not completely positive
@@ -134,22 +149,22 @@ def test_zero_map_flags():
     phi = random_positive_map("zero", 3, 3, rng_stream(0))
     x = random_hermitian(3, rng_stream(12))
     assert np.allclose(apply_map(phi, x), 0.0)
-    flags = map_flags(phi)
-    assert flags.contractive and not flags.unital and flags.positivity_sampled
+    flags = _measured_flags(phi, trials=16, seed=0)
+    assert flags.contractive and not flags.unital and flags.positive
 
 
 def test_scaled_contractive_flags_many_seeds():
     for s in range(40):
         phi = random_positive_map("scaled_contractive", 3, 2, rng_stream(s))
-        flags = map_flags(phi, trials=4, seed=s)
-        assert flags.contractive and flags.positivity_sampled
+        flags = _measured_flags(phi, trials=4, seed=s)
+        assert flags.contractive and flags.positive
         assert not flags.unital
 
 
 def test_pinching_map_flags():
     phi = random_positive_map("pinching", 4, 4, rng_stream(9))
-    flags = map_flags(phi, trials=10, seed=2)
-    assert flags.unital and flags.contractive and flags.positivity_sampled
+    flags = _measured_flags(phi, trials=10, seed=2)
+    assert flags.unital and flags.contractive and flags.positive
     x = random_hermitian(4, rng_stream(13))
     out = apply_map(phi, x)
     assert np.isclose(np.trace(out), np.trace(x), atol=1e-11)
@@ -160,10 +175,20 @@ def test_contractivity_iff_identity_image_dominated():
     for kind in MAP_KINDS:
         for s in (0, 1):
             phi = random_positive_map(kind, 2, 2, rng_stream(s))
-            flags = map_flags(phi, trials=4, seed=s)
+            flags = _measured_flags(phi, trials=4, seed=s)
             lam_max = float(hermitian_eig(phi.on_identity()).eigenvalues[-1])
             assert flags.contractive == (lam_max <= 1.0 + 1e-10)
             assert flags.contractive  # every generated kind here is contractive
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_kind_flags_are_the_generated_maps_flags(kind):
+    # campaign cells are filtered by KIND_FLAGS, the checks read the flags a
+    # map measures: the two agree on every generated map
+    for in_dim, out_dim in ((1, 1), (2, 2), (2, 3), (3, 2), (4, 4)):
+        for s in range(5):
+            phi = random_positive_map(kind, in_dim, out_dim, rng_stream(s))
+            assert _measured_flags(phi, trials=8, seed=s) == KIND_FLAGS[kind], (in_dim, out_dim, s)
 
 
 def test_positive_map_requires_exactly_one_rep():

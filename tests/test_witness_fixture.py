@@ -1,17 +1,27 @@
 """Recorded failure witnesses, one per check, replay and re-encode unchanged.
 
-`data/witnesses.jsonl` holds one failing report line per check. Four come
-from `run_trial(name, cells[t % len(cells)], 7, t, ToleranceConfig(0, 0,
-1e-10))` over the `default_campaign()` cells, at the first failing trial
-(vector_jensen 39, pinching 0, duality 1, hansen_pedersen 3): with zero
-tolerance, rounding alone decides them, so they pin this eigensolver's
-rounding. The other five are direct calls with one hypothesis broken and
-`enforce_hypotheses=False`, failing far beyond any rounding:
+`data/witnesses.jsonl` holds one failing report line per check. The
+duality line comes from `run_trial("check_partial_trace_duality",
+cells[1 % len(cells)], 7, 1, ToleranceConfig(0, 0, 1e-10))` over the
+`default_campaign()` cells: with zero tolerance, rounding alone decides it,
+but that check has no hypothesis to break and runs no eigensolver. The
+other eight are direct calls with one hypothesis broken and
+`enforce_hypotheses=False`, at the default tolerances, failing far beyond
+any rounding:
   * `check_cfl` with a trace-2 `rho` and `square`;
   * `check_main_tracial` with `exp` on the subnormalized branch;
   * `check_state_version` with `exp`, which is not operator convex;
   * `check_petz` with the zero map on M_2 and `shifted_square:1`, where
     f(0) = 1: lhs 2, rhs 0, a gap of exactly -2;
+  * `check_vector_jensen` and `check_pinching_chain` with the same f and
+    the zero map on M_2, x and xi drawn after it from `rng_stream(17)`:
+    f(<Phi(x) xi, xi>) = f(0) = 1 against 0, a gap of exactly -1, and
+    f(Phi(x)) = 1 against E(Phi(f(x))) = 0, which fails
+    `preorder_positive_parts` and `trace_inequality`, a gap of -2;
+  * `check_hansen_pedersen` with the same f, a = 0 (a contraction, not
+    unitary, with f(0) = 1 > 0) and H = `random_hermitian(4,
+    rng_stream(19))`: f(0) = 1 against (a* x 1) f(H) (a x 1) = 0, a
+    minimum eigenvalue of exactly -1;
   * `check_spectral_preorder_lemma` with `_nonpositive_unital_map(2,
     rng_stream(17))`, the next `random_hermitian(2, ...)` draw as x,
     `square` and a piece enclosing the whole spectrum of Phi(x): Phi(x^2) has
