@@ -58,10 +58,8 @@ from .spectral_tools import (
 )
 from .tensor_ops import (
     BlockAlgebra,
-    LinearFunctional,
     TensorSpace,
     conjugate_compress,
-    embed,
     partial_trace,
     slice_map,
 )

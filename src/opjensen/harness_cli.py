@@ -21,6 +21,7 @@ parameter cell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -59,14 +60,16 @@ _SEED_ENV = "OPJENSEN_SEED"
 
 
 def _integer(value, what: str) -> int:
-    """int(value), refusing a bool or a fractional number it would truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) of a JSON number, refusing a bool, a string or a fractional
+    number it would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, what: str) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -76,6 +79,12 @@ def _refuse_unknown_keys(obj: dict, cls, where: str) -> None:
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} {where}")
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"'{what}' must be a JSON string, got {value!r}")
+    return value
 
 
 def _strings(value, what: str) -> list[str]:
@@ -146,7 +155,7 @@ _CONFIG_FIELDS = {
     "weights": lambda v: _pairs(v, _real, "weights"),
     "master_seed": lambda v: _integer(v, "master_seed"),
     "tolerances": _tolerances,
-    "out_path": str,
+    "out_path": lambda v: _string(v, "out_path"),
 }
 
 
@@ -265,14 +274,22 @@ def _run_task(task: tuple, master_seed: int, tol: ToleranceConfig) -> tuple[str,
     return report.to_json_line(), bool(report.passed), float(report.gap), report.params["resampled"]
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    """Write JSON lines to a report file; an unwritable path is a usage error."""
+@contextlib.contextmanager
+def _output(path: str, what: str, mode: str = "w"):
+    """An output file open for writing; failing to open or write it is a
+    usage error that names the path."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
-        raise UsageError(f"cannot write report file {path!r}: {exc}") from exc
+        raise UsageError(f"cannot write {what} file {path!r}: {exc}") from exc
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write JSON lines to a report file."""
+    with _output(path, "report") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _csv_path_for(out_path: str) -> str:
@@ -292,22 +309,19 @@ def _write_summary_csv(path: str, tasks: list[tuple], results: list[tuple]) -> N
         st["trials"] += 1
         st["failures"] += 0 if passed else 1
         st["gaps"].append(gap)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+    with _output(path, "summary") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([
+            "check", "d1", "d2", "function", "map_kind",
+            "trials", "failures", "min_gap", "max_gap", "mean_gap",
+        ])
+        for key in order:
+            st = stats[key]
+            gaps = st["gaps"]
             writer.writerow([
-                "check", "d1", "d2", "function", "map_kind",
-                "trials", "failures", "min_gap", "max_gap", "mean_gap",
+                *key, st["trials"], st["failures"],
+                repr(min(gaps)), repr(max(gaps)), repr(sum(gaps) / len(gaps)),
             ])
-            for key in order:
-                st = stats[key]
-                gaps = st["gaps"]
-                writer.writerow([
-                    *key, st["trials"], st["failures"],
-                    repr(min(gaps)), repr(max(gaps)), repr(sum(gaps) / len(gaps)),
-                ])
-    except OSError as exc:
-        raise UsageError(f"cannot write summary file {path!r}: {exc}") from exc
 
 
 def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
@@ -325,6 +339,12 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
     if config.master_seed < 0:
         raise UsageError(f"master_seed must be a non-negative integer, got {config.master_seed}")
     tasks = build_tasks(config)
+    csv_path = _csv_path_for(config.out_path)
+    # Opening both outputs now, in append mode so nothing is truncated yet,
+    # refuses an unwritable path before any trial runs.
+    for path, what in ((config.out_path, "report"), (csv_path, "summary")):
+        with _output(path, what, mode="a"):
+            pass
     run = functools.partial(_run_task, master_seed=config.master_seed, tol=config.tolerances)
     if jobs > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
@@ -333,7 +353,7 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
     else:
         results = [run(t) for t in tasks]
     _write_lines(config.out_path, [line for line, *_ in results])
-    _write_summary_csv(_csv_path_for(config.out_path), tasks, results)
+    _write_summary_csv(csv_path, tasks, results)
     passed = sum(1 for _, ok, _, _ in results if ok)
     return {
         "total": len(results),

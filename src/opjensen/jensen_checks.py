@@ -99,7 +99,6 @@ from .spectral_tools import (
 )
 from .tensor_ops import (
     BlockAlgebra,
-    LinearFunctional,
     TensorSpace,
     conjugate_compress,
     partial_trace,
@@ -606,14 +605,10 @@ def check_state_version(
     _require("check_state_version", enforce_hypotheses, f=f, a=am,
              a_unitary=_is_numerically_unitary(am), tol=tol, rho1=d1_m, rho2=d2_m)
     X = conjugate_compress(Hm, am, space)
-    compressed = symmetrize(
-        slice_map(X, LinearFunctional.from_state(d1_m), "left", space)
-    )
+    compressed = symmetrize(slice_map(X, d1_m, "left", space))
     lhs = float(np.trace(d2_m @ matrix_function(compressed, f)).real)
     fH = matrix_function(Hm, f)
-    sliced = symmetrize(
-        slice_map(fH, LinearFunctional.from_state(d2_m), "right", space)
-    )
+    sliced = symmetrize(slice_map(fH, d2_m, "right", space))
     rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     inputs = dict(H=Hm, a=am, f=f, rho1=d1_m, rho2=d2_m, space=space, tol=tol,

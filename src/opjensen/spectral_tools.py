@@ -36,9 +36,6 @@ from .tensor_ops import BlockAlgebra
 if TYPE_CHECKING:
     from .convex_catalog import ScalarFunction
 
-DECREASING_AT_ORIGIN = "decreasing_at_origin"
-INCREASING_AT_ORIGIN = "increasing_at_origin"
-
 
 # ---------------------------------------------------------------------------
 # Spectral projections and Jordan decomposition
@@ -288,24 +285,14 @@ class MonotoneSplit:
 
     Slot meanings (None = empty): 0 nonnegative-decreasing,
     1 nonpositive-decreasing, 2 nonpositive-increasing,
-    3 nonnegative-increasing. t1 is the minimizer; t2 is the left end of the
-    final nonnegative piece. Pieces are [start, end) except the last, which
+    3 nonnegative-increasing. Pieces are [start, end) except the last, which
     is closed.
     """
 
-    t1: float
-    t2: float
     intervals: tuple[Interval | None, Interval | None, Interval | None, Interval | None]
-    orientation: str
-
-    PIECE_SIGNS = (1, -1, -1, 1)
-    PIECE_DIRECTIONS = ("dec", "dec", "inc", "inc")
 
     def nonempty_pieces(self) -> list[tuple[int, Interval]]:
         return [(i, piece) for i, piece in enumerate(self.intervals) if piece is not None]
-
-    def piece_sign(self, slot: int) -> int:
-        return self.PIECE_SIGNS[slot]
 
 
 def _ternary_min(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -367,25 +354,21 @@ def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit
     f_lo = f(lo)
     f_hi = f(hi)
     span = hi - lo
-    orientation = DECREASING_AT_ORIGIN if t_min - lo > 1e-9 * span else INCREASING_AT_ORIGIN
 
+    pieces: list[Interval | None] = [None, None, None, None]
     if f_min >= 0.0:
         # No negative part: decreasing nonnegative piece, then increasing.
-        pieces: list[Interval | None] = [None, None, None, None]
-        if orientation == INCREASING_AT_ORIGIN:
+        if t_min - lo <= 1e-9 * span:
             pieces[3] = Interval.closed(lo, hi)
-            return MonotoneSplit(t1=lo, t2=lo, intervals=tuple(pieces), orientation=orientation)
-        if hi - t_min <= 1e-9 * span:
+        elif hi - t_min <= 1e-9 * span:
             pieces[0] = Interval.closed(lo, hi)
-            return MonotoneSplit(t1=hi, t2=hi, intervals=tuple(pieces), orientation=orientation)
-        pieces[0] = Interval.half_open(lo, t_min)
-        pieces[3] = Interval.closed(t_min, hi)
-        return MonotoneSplit(t1=t_min, t2=t_min, intervals=tuple(pieces), orientation=orientation)
+        else:
+            pieces[0] = Interval.half_open(lo, t_min)
+            pieces[3] = Interval.closed(t_min, hi)
+        return MonotoneSplit(tuple(pieces))
 
     z_down = _bisect_zero(f, lo, t_min, increasing=False) if f_lo > 0.0 else lo
     z_up = _bisect_zero(f, t_min, hi, increasing=True) if f_hi > 0.0 else hi
-
-    pieces = [None, None, None, None]
     if z_down > lo:
         pieces[0] = Interval.half_open(lo, z_down)
     if t_min > z_down:
@@ -397,7 +380,7 @@ def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit
     elif z_up == hi and pieces[2] is not None:
         # Close the final negative piece so the split covers the interval.
         pieces[2] = Interval.closed(t_min, hi)
-    return MonotoneSplit(t1=t_min, t2=z_up, intervals=tuple(pieces), orientation=orientation)
+    return MonotoneSplit(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Bipartite tensor-product spaces and weighted trace machinery.
 
-Embeddings a ⊗ 1, conjugation-compression, weighted partial traces, and the
-left/right slice maps that collapse one tensor factor against a linear
-functional. The first tensor factor is always the slow (outer) index.
+Compression by a ⊗ 1, weighted partial traces, and the left/right slice
+maps that collapse one tensor factor against a state given by its density.
+The first tensor factor is always the slow (outer) index.
 
 Weighted traces model finite direct sums of matrix factors: on a block
 algebra with blocks n_k and weights w_k > 0, the trace of a block-diagonal x
@@ -11,7 +11,7 @@ is sum_k w_k * Tr(x_k). A tensor factor is a single block with one weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .linalg_core import as_complex, kron
 __all__ = [
     "TensorSpace",
     "BlockAlgebra",
-    "LinearFunctional",
-    "embed",
     "conjugate_compress",
     "partial_trace",
     "slice_map",
@@ -41,13 +39,6 @@ class TensorSpace:
     @property
     def total_dim(self) -> int:
         return self.d1 * self.d2
-
-    def factor_dim(self, side: str) -> int:
-        if side == "left":
-            return self.d1
-        if side == "right":
-            return self.d2
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def reshape4(self, x: np.ndarray) -> np.ndarray:
         """View a (d1 d2) x (d1 d2) matrix as a 4-index tensor [i1,i2,j1,j2]."""
@@ -120,45 +111,6 @@ class BlockAlgebra:
         return float(np.linalg.norm(rest))
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Normal functional omega(y) = tau(density* y) on a block algebra."""
-
-    algebra: BlockAlgebra
-    density: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        d = as_complex(self.density)
-        if d.shape != (self.algebra.total_dim, self.algebra.total_dim):
-            raise DimensionError("density shape does not match the algebra")
-        object.__setattr__(self, "density", d)
-
-    @classmethod
-    def from_state(cls, density: np.ndarray, weight: float = 1.0) -> "LinearFunctional":
-        d = as_complex(density)
-        return cls(BlockAlgebra.single(d.shape[0], weight), d)
-
-    def __call__(self, y: np.ndarray) -> complex:
-        total = 0.0 + 0.0j
-        dens_blocks = self.algebra.blocks(self.density)
-        for w, dblk, yblk in zip(
-            self.algebra.trace_weights, dens_blocks, self.algebra.blocks(y)
-        ):
-            total += w * np.trace(dblk.conj().T @ yblk)
-        return complex(total)
-
-
-def embed(a, side: str, space: TensorSpace) -> np.ndarray:
-    """a |-> a (x) 1 (side='left') or 1 (x) a (side='right')."""
-    m = as_complex(a)
-    d = space.factor_dim(side)
-    if m.shape != (d, d):
-        raise DimensionError(f"factor matrix shape {m.shape} does not match dim {d}")
-    if side == "left":
-        return kron(m, np.eye(space.d2))
-    return kron(np.eye(space.d1), m)
-
-
 def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
     """(a* (x) 1) X (a (x) 1) for a acting on the first factor."""
     xm = as_complex(x)
@@ -166,7 +118,10 @@ def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
         raise DimensionError(
             f"matrix shape {xm.shape} does not match space {space.d1}x{space.d2}"
         )
-    e = embed(a, "left", space)
+    am = as_complex(a)
+    if am.shape != (space.d1, space.d1):
+        raise DimensionError(f"factor matrix shape {am.shape} does not match dim {space.d1}")
+    e = kron(am, np.eye(space.d2))
     return e.conj().T @ xm @ e
 
 
@@ -193,34 +148,27 @@ def partial_trace(
     raise ValueError(f"side must be 'trace_first' or 'trace_second', got {side!r}")
 
 
-def slice_map(
-    x,
-    functional: LinearFunctional,
-    side: str,
-    space: TensorSpace,
-) -> np.ndarray:
-    """Slice one tensor factor against a functional.
+def slice_map(x, density, side: str, space: TensorSpace) -> np.ndarray:
+    """Slice one tensor factor against the state omega(y) = Tr(D y) given by
+    its Hermitian density D.
 
     side='right': R_omega with omega on the second factor,
         R(a (x) b) = a * omega(b), output on the first factor.
     side='left':  L_omega with omega on the first factor,
         L(a (x) b) = omega(a) * b, output on the second factor.
 
-    Computed as a weighted partial trace against the functional's density;
-    positive functionals give positivity-preserving slices.
+    Computed as a contraction of x against conj(D) = D^T; a density whose
+    shape does not match the sliced factor raises DimensionError. Positive
+    densities give positivity-preserving slices.
     """
     t = space.reshape4(as_complex(x))
-    alg = functional.algebra
     sliced_dim = space.d2 if side == "right" else space.d1
-    if alg.total_dim != sliced_dim:
+    dens = as_complex(density)
+    if dens.shape != (sliced_dim, sliced_dim):
         raise DimensionError(
-            f"functional lives on dim {alg.total_dim}, sliced factor has dim {sliced_dim}"
+            f"density shape {dens.shape} does not match sliced factor dim {sliced_dim}"
         )
-    dens = functional.density.conj()
-    weight_mask = np.zeros((sliced_dim, sliced_dim))
-    for w, s in zip(alg.trace_weights, alg.block_slices()):
-        weight_mask[s, s] = w
-    dens = dens * weight_mask
+    dens = dens.conj()
     if side == "right":
         return np.einsum("lk,iljk->ij", dens, t)
     if side == "left":

@@ -407,13 +407,17 @@ def test_cli_unwritable_out_path(tmp_path, capsys):
     assert "cannot write report file" in capsys.readouterr().err
 
 
-def test_cli_campaign_unwritable_summary_path(tmp_path, capsys):
-    # the CSV summary ended in an IsADirectoryError traceback, exit 1
+def test_cli_campaign_unwritable_summary_path(tmp_path, capsys, monkeypatch):
+    # the CSV summary ended in an IsADirectoryError traceback, exit 1, and
+    # then was refused only after every trial had run
+    trials = []
+    monkeypatch.setattr(harness_cli, "run_trial", lambda *args: trials.append(args))
     out = str(tmp_path / "rep")
     os.mkdir(out + ".csv")
     assert cli_entry(["campaign", "--jobs", "1", "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "cannot write summary file" in err and repr(out + ".csv") in err
+    assert trials == []
 
 
 def test_cli_function_with_extra_parameters(tmp_path, capsys):
@@ -461,15 +465,31 @@ def test_cli_campaign_tolerances_not_an_object(tmp_path):
     ("master_seed", 1.9),
     ("dims", [[2, 3, 9]]),
     ("weights", [[1.0, 1.0, 2.0]]),
+    ("trials", "3"),
+    ("master_seed", "7"),
+    ("dims", [["2", "3"]]),
+    ("weights", [["0.5", "2"]]),
+    ("tolerances", {"atol": "1e-3"}),
 ])
 def test_cli_campaign_rejects_malformed_numbers(tmp_path, field, value):
-    # each was truncated: to 2 trials, 1 trial, seed 1, dims (2, 3), weights (1, 1)
+    # each was truncated: to 2 trials, 1 trial, seed 1, dims (2, 3), weights (1, 1);
+    # the JSON strings were read as the numbers they spell
     cfg = {"checks": ["check_cfl"], "trials": 2, "dims": [[2, 2]], "functions": ["square"],
            "out_path": str(tmp_path / "out.jsonl"), field: value}
     with pytest.raises(UsageError):
         CampaignConfig.from_dict(cfg)
     assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
     assert not os.path.exists(cfg["out_path"])
+
+
+@pytest.mark.parametrize("value", [None, ["a", "b"]], ids=["null", "list"])
+def test_cli_campaign_out_path_must_be_a_string(tmp_path, capsys, monkeypatch, value):
+    # null wrote files named None and None.csv, a list one named "['a', 'b']"
+    monkeypatch.chdir(tmp_path)
+    assert _campaign_with(tmp_path, {"checks": ["check_cfl"], "trials": 2,
+                                     "out_path": value}) == EXIT_USAGE
+    assert "'out_path'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("cfg, key", [

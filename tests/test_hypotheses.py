@@ -1,6 +1,7 @@
 """Named hypotheses: each check's registry entry states them once, and they
 drive both campaign cell filtering and the guard inside the check."""
 
+import importlib.util
 import inspect
 import itertools
 import os
@@ -30,10 +31,18 @@ H = np.diag([0.3, 1.0, -0.7, 2.0])
 H_POSITIVE = np.diag([0.3, 1.0, 0.7, 2.0])
 HALF = np.eye(2) / 2
 
-FUNCTIONS = [
-    "square", "abs", "quartic", "exp", "hinge:0", "shifted_square:-1", "shifted_square:1",
-    "entropy", "inv", "neglog", "power:1.5", "power:3", "linear:2", "const:-1", "const:1",
-]
+
+def _load_cell_functions() -> list[str]:
+    """`CELL_FUNCTIONS` of tools/report_digests.py, which is a script, not a
+    package: the cell-filter tests run over the specs the `cells` digest does."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "report_digests.py")
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CELL_FUNCTIONS
+
+
+FUNCTIONS = _load_cell_functions()
 
 
 def _close(a: float, b: float) -> bool:

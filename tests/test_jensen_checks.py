@@ -553,15 +553,23 @@ def test_duality_random_batch_weighted():
 
 
 def test_state_version_unitary_square_reduces_to_tracial():
+    # With the tracial states I/d1 and I/d2 and a unitary a, the state version
+    # is the tracial inequality at weights (1/d1, 1/d2). Unequal d1, d2 make a
+    # swap of the left and right slices show.
     rng = rng_stream(86)
-    h = random_hermitian(4, rng)
-    u = random_unitary(2, rng)
-    f = get_function("square")
-    r_state = check_state_version(h, u, f, np.eye(2) / 2, np.eye(2) / 2, SPACE22)
-    r_tr = check_main_tracial(h, u, f, SPACE22, (0.5, 0.5), "normalized")
-    assert r_state.passed
-    assert abs(r_state.lhs - r_tr.lhs) <= 1e-11 * max(1.0, abs(r_tr.lhs))
-    assert abs(r_state.rhs - r_tr.rhs) <= 1e-11 * max(1.0, abs(r_tr.rhs))
+    for d1, d2 in ((2, 2), (2, 3), (3, 2)):
+        space = TensorSpace(d1, d2)
+        for f in (get_function("square"), get_function("power", (1.5,)), get_function("inv")):
+            for _ in range(5):
+                h = random_hermitian(d1 * d2, rng)
+                if f.name != "square":
+                    h = h @ h + np.eye(d1 * d2)  # positive spectrum
+                u = random_unitary(d1, rng)
+                r_state = check_state_version(h, u, f, np.eye(d1) / d1, np.eye(d2) / d2, space)
+                r_tr = check_main_tracial(h, u, f, space, (1 / d1, 1 / d2), "normalized")
+                assert r_state.passed
+                assert abs(r_state.lhs - r_tr.lhs) <= 1e-11 * max(1.0, abs(r_tr.lhs))
+                assert abs(r_state.rhs - r_tr.rhs) <= 1e-11 * max(1.0, abs(r_tr.rhs))
 
 
 def test_state_version_contraction_batches():

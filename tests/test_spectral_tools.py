@@ -215,15 +215,15 @@ def test_monotone_split_square():
     split = monotone_sign_split(get_function("square"), Interval.closed(-2.0, 2.0))
     assert split.intervals[1] is None and split.intervals[2] is None
     assert split.intervals[0] is not None and split.intervals[3] is not None
-    assert abs(split.t1) < 1e-6
+    assert abs(split.intervals[3].lo) < 1e-6  # the minimizer
 
 
 def test_monotone_split_shifted_square():
     split = monotone_sign_split(get_function("shifted_square", (-1.0,)), Interval.closed(-2.0, 2.0))
     pieces = split.nonempty_pieces()
     assert len(pieces) == 4
-    assert abs(split.t1) < 1e-6
-    assert abs(split.t2 - 1.0) < 1e-9
+    assert abs(split.intervals[2].lo) < 1e-6  # the minimizer
+    assert abs(split.intervals[3].lo - 1.0) < 1e-9  # the zero crossing
     assert abs(pieces[0][1].hi + 1.0) < 1e-9  # sign change at -1
     # pieces tile the working interval
     assert pieces[0][1].lo == -2.0 and pieces[-1][1].hi == 2.0
@@ -238,18 +238,23 @@ def test_monotone_split_hinge():
     assert last is not None and abs(last.lo) < 1e-6 and last.hi == 1.0
 
 
+# Sign and direction of f on each slot of a MonotoneSplit.
+SLOT_SIGN_DIRECTION = {0: (1, "dec"), 1: (-1, "dec"), 2: (-1, "inc"), 3: (1, "inc")}
+
+
 def test_monotone_split_signs_sampled():
     f = get_function("shifted_square", (-1.0,))
     split = monotone_sign_split(f, Interval.closed(-2.0, 2.0))
     for slot, piece in split.nonempty_pieces():
         ts = np.linspace(piece.lo, piece.hi, 41)[1:-1]
         vals = np.array([f(t) for t in ts])
-        if split.piece_sign(slot) > 0:
+        sign, direction = SLOT_SIGN_DIRECTION[slot]
+        if sign > 0:
             assert np.all(vals >= -1e-9)
         else:
             assert np.all(vals <= 1e-9)
         diffs = np.diff(vals)
-        if split.PIECE_DIRECTIONS[slot] == "dec":
+        if direction == "dec":
             assert np.all(diffs <= 1e-9)
         else:
             assert np.all(diffs >= -1e-9)

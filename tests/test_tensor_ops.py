@@ -1,4 +1,4 @@
-"""Embeddings, partial traces, slice maps, and weighted block traces."""
+"""Compressions, partial traces, slice maps, and weighted block traces."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,8 @@ from opjensen.linalg_core import (
 )
 from opjensen.tensor_ops import (
     BlockAlgebra,
-    LinearFunctional,
     TensorSpace,
     conjugate_compress,
-    embed,
     partial_trace,
     slice_map,
 )
@@ -27,24 +25,25 @@ SPACE22 = TensorSpace(2, 2)
 SPACE23 = TensorSpace(2, 3)
 
 
-def test_embed_left_diagonal():
-    assert np.allclose(embed(np.diag([1.0, 2.0]), "left", SPACE22), np.diag([1.0, 1.0, 2.0, 2.0]))
+def test_conjugate_compress_left_diagonal():
+    # (a* (x) 1)(a (x) 1) = a*a (x) 1
+    out = conjugate_compress(np.eye(4), np.diag([1.0, 2.0]), SPACE22)
+    assert np.allclose(out, np.diag([1.0, 1.0, 4.0, 4.0]))
 
 
-def test_embed_identity_is_identity():
-    assert np.allclose(embed(np.eye(2), "left", SPACE23), np.eye(6))
+def test_conjugate_compress_by_identity_is_identity():
+    x = random_hermitian(6, rng_stream(10))
+    assert np.allclose(conjugate_compress(x, np.eye(2), SPACE23), x)
 
 
-def test_embed_left_times_right_is_kron():
-    rng = rng_stream(100)
-    a = complex_gaussian(rng, 2, 2)
-    b = complex_gaussian(rng, 2, 2)
-    assert np.allclose(embed(a, "left", SPACE22) @ embed(b, "right", SPACE22), kron(a, b))
-
-
-def test_embed_dimension_mismatch():
+def test_factor_dimension_mismatch():
     with pytest.raises(DimensionError):
-        embed(np.eye(3), "left", SPACE22)
+        conjugate_compress(np.eye(4), np.eye(3), SPACE22)
+    with pytest.raises(DimensionError):
+        conjugate_compress(np.eye(6), np.eye(3), SPACE23)
+    for side, density in (("right", np.eye(2) / 2), ("left", np.eye(3) / 3)):
+        with pytest.raises(DimensionError):
+            slice_map(np.eye(6), density, side, SPACE23)
 
 
 def test_conjugate_compress_identity_and_zero():
@@ -114,7 +113,7 @@ def test_partial_trace_duality_with_embeddings():
     y = complex_gaussian(rng, 3, 3)
     w1, w2 = 0.4, 1.7
     lhs = w2 * np.trace(
-        partial_trace(x @ embed(y, "right", SPACE23), "trace_first", SPACE23, (w1, 1.0))
+        partial_trace(x @ kron(np.eye(2), y), "trace_first", SPACE23, (w1, 1.0))
     )
     rhs = w1 * w2 * np.trace(x @ kron(np.eye(2), y))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
@@ -124,8 +123,7 @@ def test_slice_normalized_trace():
     rng = rng_stream(15)
     a = complex_gaussian(rng, 2, 2)
     b = complex_gaussian(rng, 3, 3)
-    omega = LinearFunctional.from_state(np.eye(3) / 3.0)
-    out = slice_map(kron(a, b), omega, "right", SPACE23)
+    out = slice_map(kron(a, b), np.eye(3) / 3.0, "right", SPACE23)
     assert np.allclose(out, a * np.trace(b) / 3.0)
 
 
@@ -134,22 +132,19 @@ def test_slice_bimodule_identity():
     x = complex_gaussian(rng, 4, 4)
     a = complex_gaussian(rng, 2, 2)
     b = complex_gaussian(rng, 2, 2)
-    omega = LinearFunctional.from_state(random_density(2, rng))
-    lhs = slice_map(
-        embed(a, "left", SPACE22) @ x @ embed(b, "left", SPACE22), omega, "right", SPACE22
-    )
-    rhs = a @ slice_map(x, omega, "right", SPACE22) @ b
+    rho = random_density(2, rng)
+    lhs = slice_map(kron(a, np.eye(2)) @ x @ kron(b, np.eye(2)), rho, "right", SPACE22)
+    rhs = a @ slice_map(x, rho, "right", SPACE22) @ b
     assert frob(lhs - rhs) <= 1e-10 * max(1.0, frob(rhs))
 
 
 def test_left_slice_equals_compress_then_trace():
-    # the functional y -> w1 Tr(a* y a) slices like compressing then tracing
+    # the density w1 a a*, i.e. y -> w1 Tr(a* y a), slices like compressing then tracing
     rng = rng_stream(9)
     x = complex_gaussian(rng, 4, 4)
     a = complex_gaussian(rng, 2, 2)
     w1 = 0.6
-    omega = LinearFunctional.from_state(a @ a.conj().T, weight=w1)
-    lhs = slice_map(x, omega, "left", SPACE22)
+    lhs = slice_map(x, w1 * (a @ a.conj().T), "left", SPACE22)
     rhs = partial_trace(conjugate_compress(x, a, SPACE22), "trace_first", SPACE22, (w1, 1.0))
     assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
 
@@ -158,8 +153,7 @@ def test_positive_functional_gives_positive_slice():
     rng = rng_stream(16)
     g = complex_gaussian(rng, 6, 6)
     x = g @ g.conj().T
-    omega = LinearFunctional.from_state(random_density(3, rng))
-    out = slice_map(x, omega, "right", SPACE23)
+    out = slice_map(x, random_density(3, rng), "right", SPACE23)
     w = hermitian_eig(0.5 * (out + out.conj().T)).eigenvalues
     assert w[0] >= -1e-11 * max(1.0, frob(x))
 
@@ -184,11 +178,3 @@ def test_block_algebra_off_block_mass():
     assert alg.off_block_mass(x) > 1.0
     assert alg.off_block_mass(np.diag([1.0, 2.0])) == 0.0
 
-
-def test_linear_functional_positive_iff_density_psd():
-    rng = rng_stream(19)
-    d = random_density(3, rng)
-    omega = LinearFunctional.from_state(d)
-    g = complex_gaussian(rng, 3, 3)
-    val = omega(g @ g.conj().T)
-    assert val.real >= -1e-12 and abs(val.imag) <= 1e-12
