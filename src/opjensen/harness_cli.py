@@ -190,27 +190,29 @@ def _parse_functions(specs: list[str]) -> list[ScalarFunction]:
 def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
     """All valid parameter cells for one check, in deterministic order.
 
-    The cross-product runs over the axes the check consumes; cells whose
-    (function, map kind, branch) combination violates the check's hypotheses
-    are filtered out.
+    Every listed function, map kind and weight pair is validated, whether or
+    not the check sweeps its axis. The cross-product runs over the axes the
+    check consumes; cells whose (function, map kind, branch) combination
+    violates the check's hypotheses are filtered out.
     """
     spec = lookup_check(check_name)
     axes = spec.axes
-    functions = _parse_functions(config.functions) if "functions" in axes else [None]
+    functions = _parse_functions(config.functions)
     dims = config.dims or []
     if not dims:
         raise UsageError("config needs at least one (d1, d2) entry in dims")
     for d1, d2 in dims:
         if d1 < 1 or d2 < 1:
             raise UsageError(f"invalid dims ({d1}, {d2})")
-    kinds = list(config.map_kinds) if "map_kinds" in axes else [None]
-    for k in kinds:
-        if k is not None and k not in MAP_KINDS:
+    for k in config.map_kinds:
+        if k not in MAP_KINDS:
             raise UsageError(f"unknown map kind {k!r}; valid kinds: {', '.join(MAP_KINDS)}")
-    weights = list(config.weights) if "weights" in axes else [(1.0, 1.0)]
-    for w1, w2 in weights:
+    for w1, w2 in config.weights:
         if not (0 < w1 < math.inf and 0 < w2 < math.inf):
             raise UsageError(f"trace weights must be positive and finite, got ({w1}, {w2})")
+    functions = functions if "functions" in axes else [None]
+    kinds = list(config.map_kinds) if "map_kinds" in axes else [None]
+    weights = list(config.weights) if "weights" in axes else [(1.0, 1.0)]
     branches = ("normalized", "subnormalized") if "branches" in axes else (None,)
     # The hypotheses a cell fixes read only its function, map kind and branch.
     keep = {(i, kind, branch)
@@ -346,9 +348,11 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
         with _output(path, what, mode="a"):
             pass
     run = functools.partial(_run_task, master_seed=config.master_seed, tol=config.tolerances)
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork pool starts every worker at once, so never more than there are tasks.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks, chunksize=chunk))
     else:
         results = [run(t) for t in tasks]
@@ -498,18 +502,19 @@ def _cmd_search(args) -> int:
 def _cmd_replay(args) -> int:
     try:
         with open(args.witness, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read witness file {args.witness!r}: {exc}") from exc
-    original = None
-    for line in lines:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"witness file is not JSON/JSONL: {exc}") from exc
-        if isinstance(obj, dict) and obj.get("witness"):
-            original = obj
-            break
+    # The whole file as one JSON report, else one report a line, read up to
+    # the first that carries a witness.
+    try:
+        records = [json.loads(text)]
+    except json.JSONDecodeError:
+        records = (json.loads(ln) for ln in text.splitlines() if ln.strip())
+    try:
+        original = next((r for r in records if isinstance(r, dict) and r.get("witness")), None)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"witness file is not JSON/JSONL: {exc}") from exc
     if original is None:
         raise UsageError("no report with a witness found in the file")
     replayed = replay_report(original)

@@ -29,13 +29,13 @@ generator, and named hypotheses. A hypothesis is a predicate over the facts
 it reads (f, the branch, the map's flags, rho's spectrum, ...); the check
 passes its facts to one `_require` call, which raises a HypothesisError
 naming every hypothesis that fails, and campaign expansion keeps the cells
-that meet the hypotheses whose facts a cell fixes. Each ablation target
-names the one hypothesis its instances break. Campaign expansion, trial
-generation, ablation searches, and replay all go through the registry. A
-check's report has seed 0; the drivers (`generate_trial`, `run_trial`,
-`ablation_search`, `replay_report`) stamp the trial's seed and add their
-labels to its params. A failure witness is the check's arguments, written
-by one codec shared by all checks.
+that meet the hypotheses whose facts a cell fixes. Each ablation target is a
+cell of its check, run with hypotheses off, that breaks one named
+hypothesis. Campaign expansion, trial generation, ablation searches, and
+replay all go through the registry. A check's report has seed 0; the drivers
+(`generate_trial`, `run_trial`, `ablation_search`, `replay_report`) stamp
+the trial's seed and add their labels to its params. A failure witness is
+the check's arguments, written by one codec shared by all checks.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ from .positive_maps import (
     Flags,
     PositiveMap,
     apply_map,
+    decode_map,
+    encode_map,
     random_positive_map,
 )
 from .reporting import CheckReport, decode_matrix, encode_matrix
@@ -821,30 +823,6 @@ def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
 # Witness codec: check argument -> (encode to witness keys, decode from them)
 # ---------------------------------------------------------------------------
 
-_MAP_ATTRS = (
-    "kind", "in_dim", "out_dim", "claimed_positive", "claimed_unital", "claimed_contractive",
-)
-
-
-def _encode_map(phi: PositiveMap) -> dict:
-    out = {attr: getattr(phi, attr) for attr in _MAP_ATTRS}
-    if phi.kraus is not None:
-        out["kraus"] = [encode_matrix(v) for v in phi.kraus]
-    else:
-        out["action"] = encode_matrix(phi.action)
-    return {"map": out}
-
-
-def _decode_map(inputs: dict) -> PositiveMap:
-    obj = inputs["map"]
-    kwargs = {attr: obj[attr] for attr in _MAP_ATTRS}
-    if "kraus" in obj:
-        kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
-    else:
-        kwargs["action"] = decode_matrix(obj["action"])
-    return PositiveMap(**kwargs)
-
-
 def _decode_enforce(d: dict) -> bool:
     flag = d.get("enforce_hypotheses", True)
     if not isinstance(flag, bool):
@@ -858,7 +836,7 @@ def _decode_enforce(d: dict) -> bool:
 _FIELDS: dict[str, tuple[Callable, Callable]] = {
     "f": (lambda f: {"function": {"name": f.name, "params": list(f.params)}},
           lambda d: get_function(d["function"]["name"], tuple(d["function"]["params"]))),
-    "phi": (_encode_map, _decode_map),
+    "phi": (lambda phi: {"map": encode_map(phi)}, lambda d: decode_map(d["map"])),
     "space": (lambda s: {"d1": s.d1, "d2": s.d2},
               lambda d: TensorSpace(int(d["d1"]), int(d["d2"]))),
     "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"])),
@@ -991,13 +969,15 @@ def generate_trial(
     cell: dict,
     entropy: tuple[int, ...],
     tol: ToleranceConfig = DEFAULT_TOL,
+    enforce_hypotheses: bool = True,
 ) -> CheckReport:
     """Draw one random instance for a check and run it.
 
     `entropy` keys the RNG stream, so identical (cell, entropy) always
     reproduces the same trial. The report is stamped with the stream's token
-    as its seed and with the draw's labels. An unknown check or a negative
-    entropy entry is a usage error.
+    as its seed and with the draw's labels. Campaign trials enforce the
+    check's hypotheses; ablation searches turn them off. An unknown check or
+    a negative entropy entry is a usage error.
     """
     spec = lookup_check(check_name)
     if any(e < 0 for e in entropy):
@@ -1005,7 +985,8 @@ def generate_trial(
     rng, token = random_stream(*entropy)
     inputs = spec.draw(cell, rng)
     labels = inputs.pop("labels", {})
-    return _stamped(spec.run(**inputs, tol=tol), token, labels)
+    report = spec.run(**inputs, tol=tol, enforce_hypotheses=enforce_hypotheses)
+    return _stamped(report, token, labels)
 
 
 def _stamped(report: CheckReport, seed: int, labels: dict) -> CheckReport:
@@ -1062,67 +1043,18 @@ class AblationResult:
         return self.witness is not None
 
 
-def _nonpositive_unital_map(n: int, rng: np.random.Generator) -> PositiveMap:
-    """Hermiticity-preserving unital map that is generically not positive.
-
-    Built from a random Hermitian (not PSD) block matrix read as the map's
-    matrix of values on matrix units, then corrected by a trace term to be
-    unital.
-    """
-    c = random_hermitian(n * n, rng)
-    # Block (i, j) of c, entry (m, mm), is the value on matrix unit e_ij at
-    # row m + mm*n, column i + j*n of the column-major action matrix.
-    act = c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
-    base = PositiveMap(
-        kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
-        claimed_positive=False, claimed_unital=False, claimed_contractive=False,
-    )
-    r = np.eye(n) - base.on_identity()
-    act = act.copy()
-    act4 = act.reshape(n, n, n, n)
-    for i in range(n):
-        act4[:, :, i, i] += (r / n).T
-    return PositiveMap(
-        kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
-        claimed_positive=False, claimed_unital=True, claimed_contractive=False,
-    )
-
-
-def _expansive_map(n: int, rng: np.random.Generator) -> PositiveMap:
-    base = random_positive_map("ucp_stinespring", n, n, rng)
-    c = 1.0 + float(rng.uniform(0.25, 1.0))
-    scaled = tuple(math.sqrt(c) * v for v in base.kraus)
-    return PositiveMap(
-        kind="expansive", in_dim=n, out_dim=n, kraus=scaled,
-        claimed_positive=True, claimed_unital=False, claimed_contractive=False,
-    )
-
-
-def _petz_instance(make_map: Callable, f: ScalarFunction) -> Callable:
-    """draw(n, rng) of a Petz-inequality ablation: a map on M_n, then x."""
-    return lambda n, rng: dict(phi=make_map(n, rng), x=random_hermitian(n, rng), f=f,
-                               algebra=BlockAlgebra.single(n, 1.0))
-
-
-def _state_instance(n: int, rng: np.random.Generator) -> dict:
-    """draw(n, rng) of the state-version ablation: quartic f is not operator convex."""
-    return dict(H=random_hermitian(n * n, rng), a=random_contraction(n, rng),
-                f=get_function("quartic"), rho1=_faithful_density(n, rng),
-                rho2=_faithful_density(n, rng), space=TensorSpace(n, n))
-
-
 # Each ablation target: the check it runs with hypotheses off, the one
-# hypothesis its instances break, and draw(n, rng), the keyword inputs of
-# one instance on dimension n.
-_ABLATIONS: dict[str, tuple[str, str, Callable[[int, np.random.Generator], dict]]] = {
-    "petz_drop_f0": ("check_petz", "f0_zero_unless_map_unital", _petz_instance(
-        lambda n, rng: random_positive_map("zero", n, n, rng),
-        get_function("shifted_square", (1.0,)))),
-    "state_drop_opconvex": ("check_state_version", "f_operator_convex", _state_instance),
-    "drop_positivity": ("check_petz", "map_positive", _petz_instance(
-        _nonpositive_unital_map, get_function("quartic"))),
+# hypothesis its instances break, and the cell the check's registered draw
+# fills in; a search adds d1 = d2 = n.
+_ABLATIONS: dict[str, tuple[str, str, dict]] = {
+    "petz_drop_f0": ("check_petz", "f0_zero_unless_map_unital",
+                     {"function": get_function("shifted_square", (1.0,)), "map_kind": "zero"}),
+    "state_drop_opconvex": ("check_state_version", "f_operator_convex",
+                            {"function": get_function("quartic")}),
+    "drop_positivity": ("check_petz", "map_positive",
+                        {"function": get_function("quartic"), "map_kind": "nonpositive_unital"}),
     "drop_contractive": ("check_petz", "map_unital_or_contractive",
-                         _petz_instance(_expansive_map, get_function("square"))),
+                         {"function": get_function("square"), "map_kind": "expansive"}),
 }
 ABLATION_TARGETS = tuple(_ABLATIONS)
 
@@ -1135,8 +1067,9 @@ def ablation_search(
 ) -> AblationResult:
     """Re-run a check with one hypothesis removed and hunt for violations.
 
-    Trial i draws on dimension dims[i % len(dims)] from the stream (seed, i),
-    and its report is labelled with the target and i. Only petz_drop_f0
+    Trial i is `generate_trial` on the target's cell at d1 = d2 =
+    dims[i % len(dims)] and the stream (seed, i), with hypotheses off, and its
+    report is labelled with the target and i. Only petz_drop_f0
     guarantees a violation: the zero map is positive and contractive, and f
     with f(0) != 0 gives tau(f(Phi(x))) = n * f(0) against
     tau(Phi(f(x))) = 0, a gap of exactly -n * f(0). The other targets are
@@ -1151,14 +1084,14 @@ def ablation_search(
     for what, value in (("trials", trials), ("seed", seed)):
         if value < 0:
             raise UsageError(f"{what} must be a non-negative integer, got {value}")
-    check_name, _, draw = _ABLATIONS[target]
-    spec = CHECKS[check_name]
+    check_name, _, cell = _ABLATIONS[target]
     worst_gap = math.inf
     worst: CheckReport | None = None
     for i in range(trials):
-        rng, token = random_stream(seed, i)
-        report = spec.run(**draw(int(dims[i % len(dims)]), rng), enforce_hypotheses=False)
-        _stamped(report, token, {"ablation": target, "trial": i})
+        n = int(dims[i % len(dims)])
+        report = generate_trial(check_name, dict(cell, d1=n, d2=n), (seed, i),
+                                enforce_hypotheses=False)
+        report.params.update(ablation=target, trial=i)
         if report.gap < worst_gap:
             worst_gap = report.gap
             worst = report

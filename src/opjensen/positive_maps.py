@@ -9,7 +9,7 @@ examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +21,10 @@ from .linalg_core import (
     frob,
     hermitian_eigvals,
     kron,
+    random_hermitian,
     random_unitary,
 )
+from .reporting import decode_matrix, encode_matrix
 from .tensor_ops import TensorSpace
 
 __all__ = [
@@ -36,6 +38,8 @@ __all__ = [
     "transpose_map",
     "slice_compress_map",
     "random_positive_map",
+    "encode_map",
+    "decode_map",
 ]
 
 
@@ -116,6 +120,29 @@ class PositiveMap:
         unital = frob(one_img - np.eye(self.out_dim)) <= _FLAG_TOL
         lam_max = float(hermitian_eigvals(one_img)[-1])
         return unital, lam_max <= 1.0 + _FLAG_TOL
+
+
+_MAP_ATTRS = tuple(f.name for f in fields(PositiveMap) if f.name not in ("kraus", "action"))
+
+
+def encode_map(phi: PositiveMap) -> dict:
+    """A map as a JSON object: its attributes, its Kraus operators or action."""
+    out = {attr: getattr(phi, attr) for attr in _MAP_ATTRS}
+    if phi.kraus is not None:
+        out["kraus"] = [encode_matrix(v) for v in phi.kraus]
+    else:
+        out["action"] = encode_matrix(phi.action)
+    return out
+
+
+def decode_map(obj: dict) -> PositiveMap:
+    """The map `encode_map` wrote."""
+    kwargs = {attr: obj[attr] for attr in _MAP_ATTRS}
+    if "kraus" in obj:
+        kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
+    else:
+        kwargs["action"] = decode_matrix(obj["action"])
+    return PositiveMap(**kwargs)
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -225,9 +252,16 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
     pinching:        from a random resolution of the identity (unital, CP).
     scaled_contractive: c * Psi for a UCP Psi, c uniform in (0, 1).
     zero:            the zero map (positive and contractive, not unital).
+    expansive:       c * Psi for a UCP Psi, c uniform in [1.25, 2) (positive,
+                     neither unital nor contractive).
+    nonpositive_unital: a random Hermitian block matrix read as the values on
+                     matrix units, made unital by a trace term (generically
+                     not positive).
 
-    transpose and pinching map M_in_dim to itself and ignore `out_dim`; the
-    map's `out_dim` is the dimension it maps into.
+    The last two break a hypothesis on purpose, for ablation searches, and
+    are not in MAP_KINDS, so campaigns refuse them. transpose, pinching and
+    nonpositive_unital map M_in_dim to itself and ignore `out_dim`; the map's
+    `out_dim` is the dimension it maps into.
     """
     if in_dim < 1 or out_dim < 1:
         raise DimensionError("map dimensions must be >= 1")
@@ -246,7 +280,22 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
             cols = u[:, group]
             ps.append(cols @ cols.conj().T)
         return pinching_map(ps)
-    if kind in ("ucp_stinespring", "scaled_contractive"):
+    if kind == "nonpositive_unital":
+        n = in_dim
+        # Block (i, j) of c, entry (m, mm), is the value on matrix unit e_ij at
+        # row m + mm*n, column i + j*n of the column-major action matrix.
+        # Adding (1 - Phi(1)) / n to each Phi(e_ii) makes the map unital.
+        c = random_hermitian(n * n, rng)
+        act = c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+        r = np.eye(n) - _unvec(act @ _vec(np.eye(n, dtype=np.complex128)), n)
+        act4 = act.reshape(n, n, n, n)
+        for i in range(n):
+            act4[:, :, i, i] += (r / n).T
+        return PositiveMap(
+            kind=kind, in_dim=n, out_dim=n, action=act,
+            claimed_positive=False, claimed_unital=True, claimed_contractive=False,
+        )
+    if kind in ("ucp_stinespring", "scaled_contractive", "expansive"):
         env = 2
         while in_dim * env < out_dim:
             env += 1
@@ -262,10 +311,11 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
                 kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=ops,
                 claimed_positive=True, claimed_unital=True, claimed_contractive=True,
             )
-        c = float(rng.uniform())
+        contractive = kind == "scaled_contractive"
+        c = float(rng.uniform()) if contractive else 1.0 + float(rng.uniform(0.25, 1.0))
         scaled = tuple(np.sqrt(c) * v for v in ops)
         return PositiveMap(
             kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=scaled,
-            claimed_positive=True, claimed_unital=False, claimed_contractive=True,
+            claimed_positive=True, claimed_unital=False, claimed_contractive=contractive,
         )
     raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")

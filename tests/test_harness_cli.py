@@ -47,9 +47,11 @@ def test_campaign_determinism_bytes(tmp_path):
     run_campaign(cfg, jobs=1)
     second = open(cfg.out_path, "rb").read()
     assert first == second
+    summary = open(_csv_path_for(cfg.out_path), "rb").read()
     run_campaign(cfg, jobs=2)
     parallel = open(cfg.out_path, "rb").read()
     assert first == parallel
+    assert open(_csv_path_for(cfg.out_path), "rb").read() == summary
 
 
 def test_campaign_summary_and_conservation(tmp_path):
@@ -152,11 +154,19 @@ def test_cli_check_passes(tmp_path, capsys):
     assert payload["failures"] == 0
 
 
-def test_cli_unknown_function_names_catalog(capsys):
+def test_cli_unknown_function_names_catalog(tmp_path, capsys):
     rc = cli_entry(["check", "--name", "check_cfl", "--function", "nope"])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "square" in err and "hinge" in err
+    # a check that sweeps no functions ran and exited 0
+    rc = cli_entry(["check", "--name", "check_partial_trace_duality", "--function", "nosuch",
+                    "--trials", "2"])
+    assert rc == EXIT_USAGE
+    cfg = {"checks": ["check_partial_trace_duality"], "trials": 2, "functions": ["nosuch:zz"],
+           "out_path": str(tmp_path / "out.jsonl")}
+    assert _campaign_with(tmp_path, cfg) == EXIT_USAGE
+    assert not os.path.exists(cfg["out_path"])
 
 
 def test_cli_unknown_check(capsys):
@@ -183,6 +193,19 @@ def test_cli_search_and_replay_fidelity(tmp_path, capsys):
     replay_out = json.loads(capsys.readouterr().out.splitlines()[0])
     assert replay_out["reproduced"]
     assert abs(replay_out["gap"] - rec["gap"]) <= 1e-12 * max(1.0, abs(rec["gap"]))
+
+
+def test_cli_replay_reads_a_pretty_printed_json_report(tmp_path, capsys):
+    # exited 2, "witness file is not JSON/JSONL"
+    lines = str(tmp_path / "w.jsonl")
+    assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "3",
+                      "--seed", "1", "--out", lines]) == EXIT_OK
+    pretty = str(tmp_path / "w.json")
+    with open(pretty, "w") as fh:
+        json.dump(json.loads(open(lines).read()), fh, indent=2)
+    capsys.readouterr()
+    assert cli_entry(["replay", "--witness", pretty]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
 
 
 def test_cli_search_unknown_target(capsys):
@@ -334,6 +357,35 @@ def test_jobs_none_uses_every_cpu(tmp_path, monkeypatch):
     assert seen == [3]
 
 
+def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
+    # --jobs 64 on a 3-task campaign forked 64 workers
+    import opjensen.harness_cli as harness
+
+    seen = []
+
+    class _Pool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            seen.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _Pool)
+    cfg = small_config(tmp_path, trials=3)
+    assert run_campaign(cfg, jobs=64)["total"] == 3
+    assert seen == [3, 1]
+    seen.clear()
+    assert run_campaign(small_config(tmp_path, trials=1), jobs=64)["total"] == 1
+    assert seen == []
+
+
 def test_cli_replay_mismatch_exits_one(tmp_path, capsys):
     # a tampered witness fails the reproduction comparison
     wpath = str(tmp_path / "w.jsonl")
@@ -348,10 +400,23 @@ def test_cli_replay_mismatch_exits_one(tmp_path, capsys):
     assert cli_entry(["replay", "--witness", tampered]) == EXIT_VIOLATION
 
 
-def test_cli_check_unknown_map_kind(capsys):
+def test_cli_check_unknown_map_kind(tmp_path, capsys):
     rc = cli_entry(["check", "--name", "check_petz", "--map", "bogus", "--trials", "2"])
     assert rc == EXIT_USAGE
     assert "ucp_stinespring" in capsys.readouterr().err
+    # checks that sweep no map kinds ran and exited 0; the ablation-only
+    # kinds are not campaign kinds
+    for name, kind in (("check_cfl", "nosuch"), ("check_partial_trace_duality", "nosuch"),
+                       ("check_petz", "expansive"), ("check_petz", "nonpositive_unital")):
+        assert cli_entry(["check", "--name", name, "--map", kind,
+                          "--trials", "2"]) == EXIT_USAGE, (name, kind)
+        cfg = {"checks": [name], "trials": 2, "map_kinds": [kind],
+               "out_path": str(tmp_path / "out.jsonl")}
+        assert _campaign_with(tmp_path, cfg) == EXIT_USAGE, (name, kind)
+        assert not os.path.exists(cfg["out_path"])
+        assert f"unknown map kind {kind!r}" in capsys.readouterr().err
+    assert cli_entry(["check", "--name", "check_partial_trace_duality", "--function", "nosuch",
+                      "--map", "nosuch", "--trials", "2"]) == EXIT_USAGE
 
 
 def test_cli_check_rejects_bad_numbers():
@@ -382,6 +447,7 @@ def test_cli_function_parameter_not_a_number(tmp_path, capsys, spec):
     ("check_partial_trace_duality", "--w2", "inf"),  # printed NaN, exit 1
     ("check_main_tracial", "--w1", "nan"),  # exit 3
     ("check_petz", "--w2", "nan"),
+    ("check_cfl", "--w1", "nan"),  # check_cfl sweeps no weights: ran, exit 0
 ])
 def test_cli_non_finite_weights(tmp_path, name, flag, value):
     assert cli_entry(["check", "--name", name, "--trials", "2", "--function", "square",

@@ -92,12 +92,12 @@ def test_hypothesis_error_names_every_broken_hypothesis():
 
 @pytest.mark.parametrize("target", ABLATION_TARGETS)
 def test_ablation_row_breaks_exactly_its_hypothesis(target):
-    check_name, hypothesis, draw = _ABLATIONS[target]
+    check_name, hypothesis, cell = _ABLATIONS[target]
     assert hypothesis in CHECKS[check_name].hypotheses
     for n in (2, 3, 4):
         for i in range(20):
             rng, _ = random_stream(11, n, i)
-            inputs = draw(n, rng)
+            inputs = CHECKS[check_name].draw(dict(cell, d1=n, d2=n), rng)
             with pytest.raises(HypothesisError) as exc:
                 CHECKS[check_name].run(**inputs)
             assert exc.value.hypotheses == (hypothesis,), (n, i)

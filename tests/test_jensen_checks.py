@@ -14,7 +14,6 @@ from opjensen.jensen_checks import (
     ABLATION_TARGETS,
     CHECKS,
     CheckSpec,
-    _nonpositive_unital_map,
     ablation_search,
     check_cfl,
     check_hansen_pedersen,
@@ -790,7 +789,7 @@ def test_checks_take_only_their_inputs():
 
 
 def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:
-    """The action matrix of `_nonpositive_unital_map`, entry by entry."""
+    """The action matrix of the `nonpositive_unital` map kind, entry by entry."""
     c = random_hermitian(n * n, rng)
     act = np.zeros((n * n, n * n), dtype=np.complex128)
     for i in range(n):
@@ -815,7 +814,7 @@ def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_nonpositive_unital_map_equals_loop_reference(n):
     for seed in range(20):
-        phi = _nonpositive_unital_map(n, rng_stream(71, n, seed))
+        phi = random_positive_map("nonpositive_unital", n, n, rng_stream(71, n, seed))
         want = _nonpositive_unital_action_by_loops(n, rng_stream(71, n, seed))
         assert phi.action.tobytes() == want.tobytes()
         assert phi.claimed_unital and not phi.claimed_positive

@@ -191,6 +191,26 @@ def test_kind_flags_are_the_generated_maps_flags(kind):
             assert _measured_flags(phi, trials=8, seed=s) == KIND_FLAGS[kind], (in_dim, out_dim, s)
 
 
+@pytest.mark.parametrize("in_dim, out_dim", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)])
+def test_ablation_kinds_break_their_hypothesis(in_dim, out_dim):
+    # expansive: positive, Phi(1) = c 1 with c in [1.25, 2), so neither
+    # unital nor contractive; nonpositive_unital: unital, positivity unclaimed
+    for s in range(5):
+        phi = random_positive_map("expansive", in_dim, out_dim, rng_stream(s))
+        assert _measured_flags(phi, trials=8, seed=s) == Flags(True, False, False)
+        c = float(phi.on_identity()[0, 0].real)
+        assert 1.25 <= c < 2.0
+        assert frob(phi.on_identity() - c * np.eye(out_dim)) <= 1e-12
+        assert (phi.claimed_positive, phi.claimed_unital, phi.claimed_contractive) == (
+            True, False, False)
+        phi = random_positive_map("nonpositive_unital", in_dim, out_dim, rng_stream(s))
+        assert (phi.in_dim, phi.out_dim) == (in_dim, in_dim)
+        assert phi.unital_contractive()[0]
+        assert (phi.claimed_positive, phi.claimed_unital) == (False, True)
+    for kind in ("expansive", "nonpositive_unital"):
+        assert kind not in MAP_KINDS and kind not in KIND_FLAGS
+
+
 def test_positive_map_requires_exactly_one_rep():
     with pytest.raises(ValueError):
         PositiveMap(kind="bad", in_dim=2, out_dim=2)

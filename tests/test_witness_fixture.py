@@ -22,11 +22,11 @@ any rounding:
     unitary, with f(0) = 1 > 0) and H = `random_hermitian(4,
     rng_stream(19))`: f(0) = 1 against (a* x 1) f(H) (a x 1) = 0, a
     minimum eigenvalue of exactly -1;
-  * `check_spectral_preorder_lemma` with `_nonpositive_unital_map(2,
-    rng_stream(17))`, the next `random_hermitian(2, ...)` draw as x,
-    `square` and a piece enclosing the whole spectrum of Phi(x): Phi(x^2) has
-    eigenvalue -0.805, so both the compressed positivity and the pre-order
-    assertion fail.
+  * `check_spectral_preorder_lemma` with `random_positive_map(
+    "nonpositive_unital", 2, 2, rng_stream(17))`, the next
+    `random_hermitian(2, ...)` draw as x, `square` and a piece enclosing the
+    whole spectrum of Phi(x): Phi(x^2) has eigenvalue -0.805, so both the
+    compressed positivity and the pre-order assertion fail.
 """
 
 import json

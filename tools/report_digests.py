@@ -21,9 +21,12 @@ printed lines to show that a change leaves the report bytes as they were:
     It shows that the cells a campaign runs, which the check registry's
     hypotheses filter, are as they were.
 
-The package is imported from the `src/` directory next to this script. This
-is a tool, not a test: LAPACK/BLAS results, and so the bytes, are not
-promised to be identical across CPUs, only from run to run on one machine.
+The package is imported from the `src/` directory next to this script.
+LAPACK/BLAS results, and so the digests themselves, are not promised to be
+identical across CPUs, only from run to run on one machine. What must hold
+everywhere is that a campaign's reports do not depend on `--jobs`: when a
+`default_campaign` digest at jobs=2 differs from the one at jobs=1, the tool
+names that line on stderr and exits 1, after printing every line.
 """
 
 from __future__ import annotations
@@ -69,12 +72,18 @@ def _verdicts_sha256(path: str) -> str:
     return _sha256(verdicts.encode("ascii"))
 
 
-def _campaign(label: str, config: CampaignConfig, jobs: int, out_dir: str) -> None:
+def _campaign(label: str, config: CampaignConfig, jobs: int, out_dir: str) -> dict[str, str]:
+    """Run a campaign, print its digest lines and return them by kind."""
     config.out_path = os.path.join(out_dir, "reports.jsonl")
     run_campaign(config, jobs=jobs)
-    print(f"{label} jobs={jobs} jsonl    {_file_sha256(config.out_path)}")
-    print(f"{label} jobs={jobs} csv      {_file_sha256(_csv_path_for(config.out_path))}")
-    print(f"{label} jobs={jobs} verdicts {_verdicts_sha256(config.out_path)}")
+    digests = {
+        "jsonl": _file_sha256(config.out_path),
+        "csv": _file_sha256(_csv_path_for(config.out_path)),
+        "verdicts": _verdicts_sha256(config.out_path),
+    }
+    for kind, digest in digests.items():
+        print(f"{label} jobs={jobs} {kind:<8} {digest}")
+    return digests
 
 
 def _cfl_campaign() -> CampaignConfig:
@@ -105,16 +114,21 @@ def _cell_lines() -> str:
                      for name in CHECKS for cell in expand_cells(config, name))
 
 
-def main() -> None:
+def main() -> int:
+    differ = []
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in (42, 7):
-            for jobs in (1, 2):
-                _campaign(f"default_campaign seed={seed}", default_campaign(master_seed=seed),
-                          jobs, out_dir)
+            label = f"default_campaign seed={seed}"
+            serial, parallel = [_campaign(label, default_campaign(master_seed=seed), jobs, out_dir)
+                                for jobs in (1, 2)]
+            differ += [f"{label} {kind}" for kind in serial if serial[kind] != parallel[kind]]
         _campaign("cfl_campaign seed=101", _cfl_campaign(), 2, out_dir)
     print(f"ablation_lines {_sha256(_ablation_lines().encode('utf-8'))}")
     print(f"cells {_sha256(_cell_lines().encode('utf-8'))}")
+    for line in differ:
+        print(f"jobs=1 and jobs=2 digests differ: {line}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
