@@ -331,11 +331,12 @@ def run_campaign(config: CampaignConfig, jobs: int | None = None) -> dict:
 
     Each trial's randomness is keyed by (master_seed, global trial index), so
     the output is byte-identical for identical (config, seed) regardless of
-    how many workers execute it. `jobs=None` uses every CPU; fewer than one
-    worker, or a negative master seed, is a usage error.
+    how many workers execute it. `jobs=None` uses every CPU this process may
+    run on; fewer than one worker, or a negative master seed, is a usage error.
     """
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        jobs = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
     elif jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     if config.master_seed < 0:

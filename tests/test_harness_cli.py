@@ -350,7 +350,9 @@ def test_jobs_none_uses_every_cpu(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    # three CPUs usable by this process out of eight on the machine
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _Pool)
     cfg = small_config(tmp_path, trials=4)
     assert run_campaign(cfg, jobs=None)["total"] == 4

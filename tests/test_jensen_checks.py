@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from opjensen import jensen_checks
-from opjensen.convex_catalog import get_function
+from opjensen.convex_catalog import get_function, parse_function_spec
 from opjensen.errors import HypothesisError, UsageError
+from opjensen.intervals import Interval
 from opjensen.jensen_checks import (
     ABLATION_TARGETS,
     CHECKS,
@@ -47,12 +48,14 @@ from opjensen.positive_maps import (
     pinching_map,
     random_positive_map,
     slice_compress_map,
+    transpose_map,
 )
 from opjensen.reporting import CheckReport
 from opjensen.spectral_tools import monotone_sign_split
 from opjensen.tensor_ops import BlockAlgebra, TensorSpace
 
 SPACE22 = TensorSpace(2, 2)
+SPACE23 = TensorSpace(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +355,13 @@ def test_vector_jensen_unit_norm_required():
         check_vector_jensen(phi, np.eye(2), get_function("square"), np.array([1.0, 1.0]))
 
 
+def test_vector_jensen_exact_gap():
+    # <x e1, e1> = 0 and <x^2 e1, e1> = 1 for x = [[0, 1], [1, 0]]
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rep = check_vector_jensen(identity_map(2), x, get_function("square"), np.array([1.0, 0.0]))
+    assert (rep.lhs, rep.rhs, rep.gap) == (0.0, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # pre-order lemma and pinching chain
 # ---------------------------------------------------------------------------
@@ -455,6 +465,37 @@ def test_pinching_chain_identity_map_exact():
     f = get_function("shifted_square", (-1.0,))
     rep = check_pinching_chain(identity_map(4), x, f, BlockAlgebra.single(4))
     assert rep.passed and rep.lhs == 0.0
+
+
+def _negative_identity(n: int) -> PositiveMap:
+    # Phi = -id is not positive: Phi(f(x)) = -f(x) sits below f(Phi(x)) = f(-x)
+    return PositiveMap(kind="negative_identity", in_dim=n, out_dim=n,
+                       action=-np.eye(n * n), claimed_positive=False)
+
+
+def test_pinching_chain_negative_map_fails_every_assertion():
+    # Phi(x) = diag(-1, -2) lies on one piece of t^2, so E is the identity:
+    # E(Phi(f(x))) = diag(-1, -4) against f(Phi(x)) = diag(1, 4)
+    rep = check_pinching_chain(_negative_identity(2), np.diag([1.0, 2.0]),
+                               get_function("square"), BlockAlgebra.single(2),
+                               enforce_hypotheses=False)
+    assert rep.params["failed"] == [
+        "preorder_positive_parts", "preorder_negative_parts", "trace_inequality",
+    ]
+    assert rep.gap == -3.0
+    assert rep.params["detail"]["trace_inequality"] == [-5.0, 5.0]
+
+
+def test_preorder_lemma_negative_map_fails_every_assertion():
+    # the piece holds the whole spectrum {-2, -1} of Phi(x), where t^2 >= 0:
+    # p Phi(f(x)) p = diag(-1, -4) is not positive and does not dominate diag(1, 4)
+    rep = check_spectral_preorder_lemma(
+        _negative_identity(2), np.diag([1.0, 2.0]), get_function("square"),
+        Interval.closed(-2.05, -0.95), BlockAlgebra.single(2), enforce_hypotheses=False,
+    )
+    assert rep.params["failed"] == ["compressed_positivity", "preorder_nonnegative_piece"]
+    assert rep.gap == -2.0
+    assert rep.params["detail"]["min_eigenvalue"] == -4.0
 
 
 def test_pinching_chain_zero_map_runs():
@@ -685,6 +726,83 @@ def test_equality_at_linear_function():
     u = random_unitary(2, rng)
     st = check_state_version(h, u, f, random_density(2, rng), random_density(2, rng), SPACE22)
     assert abs(st.gap) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# two-sided equality controls: on these families both sides agree, so
+# |gap| <= tol fails a side that computes too little as well as too much
+# ---------------------------------------------------------------------------
+
+W = (0.3, 2.5)
+
+
+def _assert_equality(rep):
+    assert abs(rep.gap) <= rep.tol, (rep.lhs, rep.rhs, rep.gap, rep.tol)
+
+
+def _tau1_normalized(rng):
+    """A 2x2 a with tau_1(a* a) = W[0] Tr(a* a) = 1."""
+    g = complex_gaussian(rng, 2, 2)
+    return g / math.sqrt(W[0] * float(np.trace(g.conj().T @ g).real))
+
+
+# each takes f, a 6x6 Hermitian H on SPACE23 and a generator
+_EQUALITY_CHECKS = {
+    "check_cfl": lambda f, h, rng: check_cfl(h, random_density(2, rng), f, SPACE23),
+    "check_main_tracial": lambda f, h, rng: check_main_tracial(
+        h, _tau1_normalized(rng), f, SPACE23, W, "normalized"),
+    "check_petz": lambda f, h, rng: check_petz(
+        random_positive_map("ucp_stinespring", 6, 3, rng), h, f, BlockAlgebra.single(3, W[1])),
+    "check_state_version": lambda f, h, rng: check_state_version(
+        h, random_unitary(2, rng), f, random_density(2, rng), random_density(3, rng), SPACE23),
+}
+
+
+@pytest.mark.parametrize("spec", ["linear:2.5", "const:-1.5"])
+@pytest.mark.parametrize("check", ["check_cfl", "check_main_tracial", "check_petz"])
+def test_affine_function_equality(check, spec):
+    rng = rng_stream(97)
+    f = parse_function_spec(spec)
+    _assert_equality(_EQUALITY_CHECKS[check](f, random_hermitian(6, rng), rng))
+
+
+@pytest.mark.parametrize("fname", ["square", "inv"])
+@pytest.mark.parametrize("check", ["check_cfl", "check_main_tracial", "check_state_version"])
+def test_second_factor_only_equality(check, fname):
+    # H = 1 (x) K: a normalized a compresses H back to 1 (x) K, whose slice
+    # is K, and both sides are the second trace or state of f(K)
+    rng = rng_stream(98)
+    k = random_hermitian(3, rng)
+    h = kron(np.eye(2), k @ k + np.eye(3))  # positive spectrum, inside inv's domain
+    _assert_equality(_EQUALITY_CHECKS[check](get_function(fname), h, rng))
+
+
+@pytest.mark.parametrize("fname", ["quartic", "exp"])
+@pytest.mark.parametrize("kind", ["transpose", "unitary_conjugation"])
+def test_jordan_automorphism_equality(kind, fname):
+    # Phi(f(x)) = f(Phi(x)) for a Jordan *-automorphism: Petz is an equality,
+    # and so is vector Jensen at an eigenvector of Phi(x)
+    rng = rng_stream(99)
+    f = get_function(fname)
+    if kind == "transpose":
+        phi = transpose_map(3)
+    else:
+        phi = PositiveMap(kind=kind, in_dim=3, out_dim=3, kraus=(random_unitary(3, rng),),
+                          claimed_positive=True, claimed_unital=True, claimed_contractive=True)
+    x = random_hermitian(3, rng)
+    _assert_equality(check_petz(phi, x, f, BlockAlgebra.single(3)))
+    xi = hermitian_eig(phi(x)).eigenvectors[:, 1]
+    _assert_equality(check_vector_jensen(phi, x, f, xi))
+
+
+@pytest.mark.parametrize("fname", ["square", "inv"])
+def test_hansen_pedersen_unitary_equality(fname):
+    # (u* x 1) . (u x 1) is a *-automorphism, so both sides are one operator
+    rng = rng_stream(100)
+    h = random_hermitian(6, rng)
+    h = h @ h + np.eye(6)
+    u = random_unitary(2, rng)
+    _assert_equality(check_hansen_pedersen(h, u, get_function(fname), SPACE23))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,125 @@
+"""Count the tests that kill each one-line mutant of the check cores.
+
+Run `python tools/mutants.py` from anywhere. For each mutant in `MUTANTS`,
+the script copies `src/`, `tests/`, `tools/`, `README.md` and
+`pyproject.toml` to a temporary directory, replaces the mutant's source line
+there, runs the tier-1 suite on the copy without acceptance 01 (which runs
+only `check_cfl`, and costs most of a run) and prints how many tests failed.
+
+A mutant is a plausible wrong side or a dead assertion: a check whose
+enforced trials all still PASS, so that no campaign can tell. Only a test
+can, so each should fail at least `MIN_KILLERS` tests, not one test that may
+be edited away. The script exits 1 when a mutant's original text no longer
+occurs exactly once in its module (the table must follow the source), or
+when a mutant fails fewer than `MIN_KILLERS` tests; else 0.
+
+Each mutant costs one tier-1 run, about 35 s on two cores, so this is not
+part of CI.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "tools", "README.md", "pyproject.toml")
+DESELECTED = "tests/test_acceptance.py::test_acceptance_01_cfl_suite"
+MIN_KILLERS = 2
+
+_CHECKS = "src/opjensen/jensen_checks.py"
+_SPECTRAL = "src/opjensen/spectral_tools.py"
+
+# (name, module, original text, mutated text)
+MUTANTS = [
+    ("_tracial_sides lhs taken through duality (gap 0)", _CHECKS,
+     "    rhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)",
+     "    rhs = lhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)"),
+    ("_tracial_sides drops w2", _CHECKS,
+     "    lhs = w2 * float(np.trace(matrix_function(compressed, f)).real)",
+     "    lhs = float(np.trace(matrix_function(compressed, f)).real)"),
+    ("check_cfl uses rho for rho^(1/2)", _CHECKS,
+     "_tracial_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space, (1.0, 1.0))",
+     "_tracial_sides(Hm, rho_m, f, space, (1.0, 1.0))"),
+    ("check_petz lhs = rhs", _CHECKS,
+     "    rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))",
+     "    rhs = lhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))"),
+    ("check_vector_jensen lhs = rhs", _CHECKS,
+     "    rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)",
+     "    rhs = lhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)"),
+    ("check_state_version slices by I/d1 instead of rho1", _CHECKS,
+     'compressed = symmetrize(slice_map(X, d1_m, "left", space))',
+     'compressed = symmetrize(slice_map(X, np.eye(space.d1) / space.d1, "left", space))'),
+    ("check_state_version lhs = rhs", _CHECKS,
+     "    rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)",
+     "    rhs = lhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)"),
+    ("check_hansen_pedersen reports |lambda_min|", _CHECKS,
+     "    lam_min = float(hermitian_eigvals(diff)[0])",
+     "    lam_min = abs(float(hermitian_eigvals(diff)[0]))"),
+    ("pinching chain: positive-parts pre-order never fails", _CHECKS,
+     "    bad = preorder_violation(fy_pos, e_pos, algebra, tol)",
+     "    bad = None"),
+    ("pre-order lemma: compressed positivity never fails", _CHECKS,
+     "        if lam_min < -tol.bound(lam_min, float(w[-1])):",
+     "        if False:"),
+    ("preorder_violation counts off by one", _SPECTRAL,
+     "            if count_a > count_b:",
+     "            if count_a > count_b + 1:"),
+]
+
+
+def apply_mutant(root: str, module: str, original: str, mutated: str) -> bool:
+    """Replace `original` by `mutated` in root/module; False unless it occurs once."""
+    path = os.path.join(root, module)
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    if source.count(original) != 1:
+        return False
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source.replace(original, mutated))
+    return True
+
+
+def failed_tests(root: str) -> int:
+    """Failed plus erroring tests of one tier-1 run on the copy at root."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "--deselect", DESELECTED],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = re.findall(r"(\d+) (failed|errors?)\b", summary)
+    if proc.returncode not in (0, 1) and not counts:
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return sum(int(n) for n, _ in counts)
+
+
+def main() -> int:
+    status = 0
+    for name, module, original, mutated in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="opjensen-mutant-") as tmp:
+            for item in COPIED:
+                src = os.path.join(ROOT, item)
+                if os.path.isdir(src):
+                    shutil.copytree(src, os.path.join(tmp, item),
+                                    ignore=shutil.ignore_patterns("__pycache__"))
+                else:
+                    shutil.copy2(src, tmp)
+            if not apply_mutant(tmp, module, original, mutated):
+                print(f"{name}: original text not found once in {module}", flush=True)
+                status = 1
+                continue
+            killed = failed_tests(tmp)
+        print(f"{name}: {killed} failing tests", flush=True)
+        if killed < MIN_KILLERS:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
