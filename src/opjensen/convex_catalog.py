@@ -1,5 +1,5 @@
-"""Catalog of scalar test functions with convexity metadata, plus sampled
-convexity and operator-convexity checkers.
+"""Catalog of scalar test functions with convexity metadata, plus a sampled
+operator-convexity checker.
 
 Operator-convexity flags record standard facts (t^2 and t^p for p in [1, 2]
 are operator convex; |t|, t^4, exp are convex but not operator convex) and
@@ -29,7 +29,6 @@ __all__ = [
     "get_function",
     "catalog_names",
     "parse_function_spec",
-    "find_convexity_violation",
     "check_operator_convex",
     "OperatorConvexityReport",
 ]
@@ -199,33 +198,8 @@ def parse_function_spec(spec: str) -> ScalarFunction:
 
 
 # ---------------------------------------------------------------------------
-# Sampled convexity checks
+# Sampled operator-convexity check
 # ---------------------------------------------------------------------------
-
-def find_convexity_violation(
-    f: ScalarFunction,
-    interval: Interval,
-    n_samples: int,
-    seed: int,
-) -> dict | None:
-    """Search for (x, y, lam) violating the convexity inequality on a compact
-    interval; returns a witness dict or None."""
-    if not interval.is_bounded():
-        raise ValueError("convexity sampling needs a compact interval")
-    rng = rng_stream(seed)
-    lo, hi = interval.lo, interval.hi
-    for _ in range(n_samples):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        lam = rng.uniform()
-        mix = lam * x + (1.0 - lam) * y
-        lhs = f(mix)
-        rhs = lam * f(x) + (1.0 - lam) * f(y)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        if lhs > rhs + 1e-12 * scale:
-            return {"x": x, "y": y, "lam": lam, "lhs": lhs, "rhs": rhs}
-    return None
-
 
 @dataclass(frozen=True)
 class OperatorConvexityReport:

@@ -52,6 +52,9 @@ class HypothesisError(OpJensenError, ValueError):
 class UnknownFunctionError(OpJensenError, KeyError):
     """Requested scalar function is not in the catalog."""
 
+    # KeyError's str() quotes the message as if it were a key
+    __str__ = Exception.__str__
+
 
 class UsageError(OpJensenError, ValueError):
     """Invalid command-line arguments or campaign configuration."""

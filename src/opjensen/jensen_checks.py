@@ -59,7 +59,6 @@ from .errors import (
 from .intervals import Interval
 from .linalg_core import (
     DEFAULT_TOL,
-    SpectralDecomposition,
     ToleranceConfig,
     as_complex,
     complex_gaussian,
@@ -147,11 +146,11 @@ def _report(
 ) -> CheckReport:
     """A check's report; a failing one carries its inputs as witness.
 
-    `inputs` holds every argument of the check except those in
-    `_UNRECORDED`, as the check used them (hermitized, snapped, ...), so
-    that `replay_report` repeats exactly this call. The report keeps them and
-    encodes them when its witness is first read: most failing reports (all
-    but the worst of an ablation search, say) are never written.
+    `inputs` holds every argument of the check, as the check used them
+    (hermitized, snapped, ...), so that `replay_report` repeats exactly this
+    call. The report keeps them and encodes them when its witness is first
+    read: most failing reports (all but the worst of an ablation search, say)
+    are never written.
     """
     witness = None if passed else functools.partial(_encode_witness, name, inputs)
     return CheckReport(
@@ -426,7 +425,6 @@ def check_spectral_preorder_lemma(
     algebra: BlockAlgebra,
     tol: ToleranceConfig = DEFAULT_TOL,
     enforce_hypotheses: bool = True,
-    phi_x_decomp: SpectralDecomposition | None = None,
 ) -> CheckReport:
     """Compressed pre-order comparison on one monotone piece.
 
@@ -434,14 +432,10 @@ def check_spectral_preorder_lemma(
     there, p Phi(f(x)) p must be positive semidefinite and dominate
     p f(Phi(x)) p in the spectral pre-order; when f <= 0, the negative
     Jordan part of p Phi(f(x)) p must be dominated by -p f(Phi(x)) p.
-
-    `phi_x_decomp`, when given, must be the decomposition of Phi(x) as
-    computed here (the trial generator has it already); it skips that
-    eigensolve.
     """
     xm = hermitize(x)
     y = symmetrize(apply_map(phi, xm))
-    dec_y = phi_x_decomp if phi_x_decomp is not None else hermitian_eig(y)
+    dec_y = hermitian_eig(y)
     piece = _snap_piece(piece, dec_y.eigenvalues, tol)
     sign = _piece_sign(f, piece, tol)
     branch = _petz_branch("check_spectral_preorder_lemma", phi, enforce_hypotheses,
@@ -769,11 +763,10 @@ def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
     inputs = _draw_map_input(cell, rng)
     f = inputs["f"]
     y = symmetrize(apply_map(inputs["phi"], hermitize(inputs["x"])))
-    dec_y = hermitian_eig(y)
-    split = monotone_sign_split(f, working_interval(dec_y.eigenvalues, domain=f.domain))
+    split = monotone_sign_split(f, working_interval(hermitian_eigvals(y), domain=f.domain))
     pieces = split.nonempty_pieces()
     slot, piece = pieces[int(rng.integers(len(pieces)))]
-    return dict(inputs, piece=piece, phi_x_decomp=dec_y, labels={"piece_slot": slot})
+    return dict(inputs, piece=piece, labels={"piece_slot": slot})
 
 
 def _draw_duality(cell: dict, rng: np.random.Generator) -> dict:
@@ -849,11 +842,6 @@ def _field(arg: str) -> tuple[Callable, Callable]:
 # The check registry
 # ---------------------------------------------------------------------------
 
-# Check arguments a witness leaves out: a replay recomputes a decomposition
-# passed in to save work.
-_UNRECORDED = ("phi_x_decomp",)
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """Everything the campaign runner and replay know about one check.
@@ -864,7 +852,7 @@ class CheckSpec:
     of the inequality to a predicate over the facts it reads, as keyword
     arguments. The check passes its facts to one `_require` call, and
     `compatible(cell)` evaluates the hypotheses whose facts a cell fixes. A
-    witness records every argument of the check except those in `_UNRECORDED`.
+    witness records every argument of the check.
     """
 
     name: str
@@ -874,8 +862,7 @@ class CheckSpec:
 
     @functools.cached_property
     def args(self) -> tuple[str, ...]:
-        params = inspect.signature(globals()[self.name]).parameters
-        return tuple(arg for arg in params if arg not in _UNRECORDED)
+        return tuple(inspect.signature(globals()[self.name]).parameters)
 
     @functools.cached_property
     def _predicates(self) -> tuple[tuple[str, Callable[..., bool], tuple[str, ...]], ...]:

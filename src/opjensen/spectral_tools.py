@@ -330,7 +330,7 @@ def _grid_convexity_check(f: Callable[[float], float], lo: float, hi: float) -> 
     if np.any(fs[1:-1] > mids + 1e-9 * scale):
         i = int(np.argmax(fs[1:-1] - mids)) + 1
         raise ConvexityError(
-            f"function is not convex near t = {ts[i]!r}: midpoint inequality fails"
+            f"function is not convex near t = {float(ts[i])!r}: midpoint inequality fails"
         )
 
 

@@ -9,11 +9,10 @@ from opjensen.convex_catalog import (
     ScalarFunction,
     catalog_names,
     check_operator_convex,
-    find_convexity_violation,
     get_function,
     parse_function_spec,
 )
-from opjensen.errors import UnknownFunctionError
+from opjensen.errors import ConvexityError, UnknownFunctionError
 from opjensen.intervals import REAL_LINE, Interval
 from opjensen.linalg_core import (
     hermitian_eig,
@@ -23,6 +22,7 @@ from opjensen.linalg_core import (
     random_hermitian,
     rng_stream,
 )
+from opjensen.spectral_tools import monotone_sign_split
 
 
 def test_square_metadata():
@@ -73,6 +73,13 @@ def test_unknown_name_lists_catalog():
     msg = str(exc.value)
     for name in catalog_names():
         assert name in msg
+
+
+def test_unknown_function_error_prints_unquoted():
+    # still a KeyError, but its message prints as written, without quotes
+    with pytest.raises(KeyError) as exc:
+        get_function("bogus")
+    assert str(exc.value).startswith("unknown function 'bogus'; valid names: abs, ")
 
 
 def test_parse_function_spec():
@@ -146,22 +153,35 @@ def test_poly_coefficients_agree_with_scalar_function():
     assert get_function("power", (2.0,)).poly is None  # its domain check must run
 
 
+def _grid_finds_nonconvexity(f: ScalarFunction, interval: Interval) -> bool:
+    # the verdict path's scalar convexity test: monotone_sign_split checks the
+    # midpoint inequality on a grid and raises ConvexityError
+    try:
+        monotone_sign_split(f, interval)
+    except ConvexityError:
+        return True
+    return False
+
+
 def test_check_convex_square():
-    square = get_function("square")
-    assert find_convexity_violation(square, Interval.closed(-5.0, 5.0), 2000, 1) is None
+    assert not _grid_finds_nonconvexity(get_function("square"), Interval.closed(-5.0, 5.0))
 
 
 def test_check_convex_rejects_concave_with_witness():
     neg = ScalarFunction("negsquare", (), lambda t: -t * t, Interval.real_line(), False, False, True)
-    witness = find_convexity_violation(neg, Interval.closed(-1.0, 1.0), 2000, 2)
-    assert witness is not None
-    lam, x, y = witness["lam"], witness["x"], witness["y"]
-    assert neg(lam * x + (1 - lam) * y) > lam * neg(x) + (1 - lam) * neg(y)
+    with pytest.raises(ConvexityError, match="not convex near t = ") as err:
+        monotone_sign_split(neg, Interval.closed(-1.0, 1.0))
+    # the named point breaks the midpoint inequality between its grid neighbours
+    t, h = float(str(err.value).split("t = ")[1].split(":")[0]), 2.0 / 64
+    assert -1.0 < t < 1.0
+    assert neg(t) > 0.5 * (neg(t - h) + neg(t + h))
 
 
 def test_check_convex_abs_many_samples():
+    # the kink of abs at 0 on a grid point (-1..1) and between two (-1..0.7)
     f = get_function("abs")
-    assert find_convexity_violation(f, Interval.closed(-1.0, 1.0), 10_000, 3) is None
+    assert not _grid_finds_nonconvexity(f, Interval.closed(-1.0, 1.0))
+    assert not _grid_finds_nonconvexity(f, Interval.closed(-1.0, 0.7))
 
 
 def test_operator_convex_square_clean():
@@ -232,7 +252,7 @@ def test_catalog_metadata_agreement():
     for f in entries:
         lo = f.domain.lo if np.isfinite(f.domain.lo) else -2.0
         box = Interval.closed(lo + (0.1 if f.domain.lo_open else 0.0), lo + 3.0)
-        assert (find_convexity_violation(f, box, 1000, 11) is None) == f.is_convex
+        assert _grid_finds_nonconvexity(f, box) != f.is_convex
         if f.is_operator_convex:
             for dim in (2, 3, 4):
                 rep = check_operator_convex(f, dim, 150, 13)

@@ -169,6 +169,23 @@ def test_cli_unknown_function_names_catalog(tmp_path, capsys):
     assert not os.path.exists(cfg["out_path"])
 
 
+@pytest.mark.parametrize("where, spec, line", [
+    ("check", "nope", "error: unknown function 'nope'; valid names: abs, const, entropy, exp, "
+     "hinge, inv, linear, neglog, power, quartic, shifted_square, square"),
+    ("config", "exp:2", "error: function 'exp' takes 0 parameter(s), got 1"),
+    ("config", "power:nan", "error: function spec 'power:nan': parameters must be finite"),
+], ids=["check-unknown", "config-arity", "config-non-finite"])
+def test_cli_function_errors_print_unquoted(tmp_path, capsys, where, spec, line):
+    # an unknown-function error is a KeyError, whose str() would quote it
+    if where == "check":
+        rc = cli_entry(["check", "--name", "check_cfl", "--function", spec])
+    else:
+        rc = _campaign_with(tmp_path, {"checks": ["check_cfl"], "trials": 2, "functions": [spec],
+                                       "out_path": str(tmp_path / "out.jsonl")})
+    assert rc == EXIT_USAGE == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_cli_unknown_check(capsys):
     rc = cli_entry(["check", "--name", "check_nope"])
     assert rc == EXIT_USAGE

@@ -43,6 +43,7 @@ from opjensen.linalg_core import (
     rng_stream,
 )
 from opjensen.positive_maps import (
+    MAP_KINDS,
     PositiveMap,
     identity_map,
     pinching_map,
@@ -411,13 +412,12 @@ def test_preorder_lemma_negative_piece():
     ("zero", get_function("hinge", (0.0,))),
 ])
 def test_preorder_lemma_trial_equals_a_fresh_check(kind, f):
-    # a trial hands the check the draw's decomposition of Phi(x); the report
-    # must be the one the check gives when it decomposes Phi(x) itself
+    # a trial runs the check on exactly what its draw returns, so the report
+    # must be the one a direct call on the draw's recorded inputs gives
     cell = {"d1": 3, "d2": 3, "function": f, "map_kind": kind}
     for s in range(6):
         rep = generate_trial("check_spectral_preorder_lemma", cell, (81, s))
         inputs = CHECKS["check_spectral_preorder_lemma"].draw(cell, rng_stream(81, s))
-        del inputs["phi_x_decomp"]
         labels = inputs.pop("labels")
         fresh = check_spectral_preorder_lemma(**inputs)
         fresh.seed = rep.seed
@@ -496,6 +496,92 @@ def test_preorder_lemma_negative_map_fails_every_assertion():
     assert rep.params["failed"] == ["compressed_positivity", "preorder_nonnegative_piece"]
     assert rep.gap == -2.0
     assert rep.params["detail"]["min_eigenvalue"] == -4.0
+
+
+def _scaled(c: float, u=None) -> PositiveMap:
+    # Phi(y) = c u* y u, one Kraus operator sqrt(c) u: positive, not unital
+    # unless c = 1. For c > 1 it scales Phi(f(x)) past f(Phi(x)) where f < 0
+    u = np.eye(2) if u is None else u
+    return PositiveMap(kind="scaled", in_dim=2, out_dim=2, kraus=(math.sqrt(c) * u,))
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_preorder_lemma_nonpositive_piece_exact_gap():
+    # Phi = 2 id, x = diag(1, 2), f = -1 on a piece holding spec Phi(x) = {2, 4}:
+    # the negative part 2 I of p Phi(f(x)) p is not dominated by -p f(Phi(x)) p = I
+    f, x, piece = parse_function_spec("const:-1"), np.diag([1.0, 2.0]), Interval.closed(0.5, 5.0)
+    rep = check_spectral_preorder_lemma(_scaled(2.0), x, f, piece, BlockAlgebra.single(2),
+                                        enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_nonpositive_piece"]
+    assert rep.params["piece_sign"] == -1
+    assert rep.gap == -1.0
+    bad = rep.params["detail"]["preorder"]
+    assert (bad["count_a"], bad["count_b"]) == (2, 0)
+    assert abs(bad["s"] - 1.5) <= 1e-12
+    # the control: Phi = id / 2 gives negative part I / 2, dominated by I
+    assert check_spectral_preorder_lemma(_scaled(0.5), x, f, piece, BlockAlgebra.single(2),
+                                         enforce_hypotheses=False).passed
+
+
+def test_preorder_lemma_nonpositive_piece_swap_map():
+    # Phi(y) = 2 S y S with S the swap, x = diag(1/2, 1), f = t^2 - 5 <= 0 on the
+    # piece: Phi(x) = diag(2, 1), -p f(Phi(x)) p = diag(1, 4), but the negative
+    # part of p Phi(f(x)) p is 2 S diag(4.75, 4) S = diag(8, 9.5)
+    f, x = get_function("shifted_square", (-5.0,)), np.diag([0.5, 1.0])
+    piece = Interval.closed(0.1, 2.2)
+    rep = check_spectral_preorder_lemma(_scaled(2.0, _SWAP), x, f, piece,
+                                        BlockAlgebra.single(2), enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_nonpositive_piece"]
+    assert rep.gap == -1.0
+    # at c = 1/2 the negative part diag(2, 2.375) sits below diag(4.9375, 4.75)
+    assert check_spectral_preorder_lemma(_scaled(0.5, _SWAP), x, f, piece,
+                                         BlockAlgebra.single(2), enforce_hypotheses=False).passed
+
+
+def test_pinching_chain_negative_parts_exact_gap():
+    # Phi = 2 id, x = diag(1, 2), f = -1: E(Phi(f(x))) = -2 I against f(Phi(x)) = -I,
+    # so the negative parts 2 I and I break the pre-order and traces are -4 < -2
+    f, x = parse_function_spec("const:-1"), np.diag([1.0, 2.0])
+    rep = check_pinching_chain(_scaled(2.0), x, f, BlockAlgebra.single(2),
+                               enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_negative_parts", "trace_inequality"]
+    assert rep.gap == -2.0
+    tr_e, tr_fy = rep.params["detail"]["trace_inequality"]
+    assert abs(tr_e + 4.0) <= 1e-12 and tr_fy == -2.0
+    # the control: Phi = id / 2 gives -I / 2 against -I
+    assert check_pinching_chain(_scaled(0.5), x, f, BlockAlgebra.single(2),
+                                enforce_hypotheses=False).passed
+
+
+def test_pinching_chain_negative_parts_swap_map():
+    # as in the lemma's swap case: E(Phi(f(x))) = diag(-8, -9.5) against
+    # f(Phi(x)) = diag(-1, -4), so both the pre-order and the traces fail
+    f, x = get_function("shifted_square", (-5.0,)), np.diag([0.5, 1.0])
+    rep = check_pinching_chain(_scaled(2.0, _SWAP), x, f, BlockAlgebra.single(2),
+                               enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_negative_parts", "trace_inequality"]
+    assert rep.gap == -2.0
+    tr_e, tr_fy = rep.params["detail"]["trace_inequality"]
+    assert abs(tr_e + 17.5) <= 1e-12 and abs(tr_fy + 5.0) <= 1e-12
+    assert check_pinching_chain(_scaled(0.5, _SWAP), x, f, BlockAlgebra.single(2),
+                                enforce_hypotheses=False).passed
+
+
+def test_preorder_lemma_draw_does_no_jacobi_eigensolve(monkeypatch):
+    # the draw reads only the spectrum of Phi(x) to pick its piece
+    def no_eigensolve(m):
+        raise AssertionError("hermitian_eig called")
+
+    monkeypatch.setattr(jensen_checks, "hermitian_eig", no_eigensolve)
+    spec = CHECKS["check_spectral_preorder_lemma"]
+    for kind in MAP_KINDS:
+        for f in (get_function("shifted_square", (-1.0,)), get_function("entropy")):
+            cell = {"d1": 3, "d2": 3, "function": f, "map_kind": kind}
+            for s in range(3):
+                inputs = spec.draw(cell, rng_stream(84, s))
+                assert {"piece", "labels"} <= set(inputs)
 
 
 def test_pinching_chain_zero_map_runs():
@@ -904,6 +990,13 @@ def test_checks_take_only_their_inputs():
     rep = check_cfl(random_hermitian(4, rng), random_density(2, rng), get_function("square"),
                     SPACE22)
     assert rep.seed == 0 and "trial" not in rep.params
+
+
+def test_witness_records_every_check_argument():
+    # a witness records each argument, so replay recomputes from it alone
+    for name, spec in CHECKS.items():
+        params = inspect.signature(getattr(jensen_checks, name)).parameters
+        assert spec.args == tuple(params), name
 
 
 def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:

@@ -13,8 +13,8 @@ be edited away. The script exits 1 when a mutant's original text no longer
 occurs exactly once in its module (the table must follow the source), or
 when a mutant fails fewer than `MIN_KILLERS` tests; else 0.
 
-Each mutant costs one tier-1 run, about 35 s on two cores, so this is not
-part of CI.
+Each mutant costs one tier-1 run, about 30 s on two cores, so pull-request
+CI does not run it; the `mutants` workflow runs it weekly and on demand.
 """
 
 from __future__ import annotations
@@ -63,9 +63,21 @@ MUTANTS = [
     ("pinching chain: positive-parts pre-order never fails", _CHECKS,
      "    bad = preorder_violation(fy_pos, e_pos, algebra, tol)",
      "    bad = None"),
+    ("pinching chain: negative-parts pre-order never fails", _CHECKS,
+     "    bad = preorder_violation(e_neg, fy_neg, algebra, tol)",
+     "    bad = None"),
+    ("pinching chain: trace inequality never fails", _CHECKS,
+     "    if tr_e < tr_fy - tol.bound(tr_e, tr_fy):",
+     "    if False:"),
     ("pre-order lemma: compressed positivity never fails", _CHECKS,
      "        if lam_min < -tol.bound(lam_min, float(w[-1])):",
      "        if False:"),
+    ("pre-order lemma: nonnegative-piece pre-order never fails", _CHECKS,
+     "        bad = preorder_violation(a_side, b_side, algebra, tol)",
+     "        bad = None"),
+    ("pre-order lemma: nonpositive-piece pre-order never fails", _CHECKS,
+     "        bad = preorder_violation(neg_part, -a_side, algebra, tol)",
+     "        bad = None"),
     ("preorder_violation counts off by one", _SPECTRAL,
      "            if count_a > count_b:",
      "            if count_a > count_b + 1:"),
