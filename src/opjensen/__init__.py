@@ -46,7 +46,6 @@ from .harness_cli import CampaignConfig, cli_entry, default_campaign, run_campai
 from .positive_maps import PositiveMap, apply_map, random_positive_map, slice_compress_map
 from .reporting import CheckReport
 from .spectral_tools import (
-    MonotoneSplit,
     StepFunction,
     jordan_split,
     kaplansky_verify,
@@ -54,7 +53,6 @@ from .spectral_tools import (
     pinching,
     singular_value_function,
     spectral_projection,
-    support_projection,
 )
 from .tensor_ops import (
     BlockAlgebra,

@@ -9,6 +9,7 @@ are defended numerically by check_operator_convex rather than proved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,15 +169,25 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
+class _BadParameters(UnknownFunctionError):
+    """A catalog function given a parameter that is not a finite real number."""
+
+
 def get_function(name: str, params: tuple[float, ...] | list[float] = ()) -> ScalarFunction:
     """Catalog function `name`, omitted trailing parameters set to their
-    defaults; too many, or a missing required one, is an UnknownFunctionError."""
+    defaults. A parameter that is not a finite real number (a bool or a
+    string is not), too many, or a missing required one is an
+    UnknownFunctionError."""
     try:
         factory, defaults = _CATALOG[name]
     except KeyError:
         raise UnknownFunctionError(
             f"unknown function {name!r}; valid names: {', '.join(catalog_names())}"
         ) from None
+    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p)
+               for p in params):
+        raise _BadParameters(
+            f"function {name!r}: parameters must be finite real numbers, got {list(params)!r}")
     given = tuple(float(p) for p in params)
     full = given + defaults[len(given):]
     if len(given) > len(defaults) or None in full:
@@ -186,15 +197,13 @@ def get_function(name: str, params: tuple[float, ...] | list[float] = ()) -> Sca
 
 
 def parse_function_spec(spec: str) -> ScalarFunction:
-    """Parse 'name' or 'name:p1[,p2...]' as used in CLI flags and configs."""
+    """Parse 'name' or 'name:p1[,p2...]' as used in CLI flags and configs;
+    an error in a parameter quotes the whole spec."""
     name, _, tail = spec.partition(":")
     try:
-        params = tuple(float(p) for p in tail.split(",")) if tail else ()
-        if not all(math.isfinite(p) for p in params):
-            raise ValueError
-    except ValueError:
+        return get_function(name.strip(), [float(p) for p in tail.split(",")] if tail else [])
+    except (ValueError, _BadParameters):
         raise UnknownFunctionError(f"function spec {spec!r}: parameters must be finite") from None
-    return get_function(name.strip(), params)
 
 
 # ---------------------------------------------------------------------------

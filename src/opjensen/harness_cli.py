@@ -49,8 +49,6 @@ from .jensen_checks import (
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
 
-CHECK_NAMES = tuple(CHECKS)
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2

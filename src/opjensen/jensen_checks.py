@@ -89,7 +89,6 @@ from .positive_maps import (
 )
 from .reporting import CheckReport, decode_matrix, encode_matrix
 from .spectral_tools import (
-    MonotoneSplit,
     _cluster_tol,
     jordan_split,
     monotone_sign_split,
@@ -389,7 +388,7 @@ def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) 
 
 
 def _snapped_projections(
-    dec_y, split: MonotoneSplit, tol: ToleranceConfig
+    dec_y, split: tuple[Interval | None, ...], tol: ToleranceConfig
 ) -> list[np.ndarray]:
     """Spectral projections for the split pieces with snapped boundaries.
 
@@ -401,7 +400,7 @@ def _snapped_projections(
     """
     w = dec_y.eigenvalues
     ctol = _cluster_tol(w, tol)
-    pieces = [p for _, p in split.nonempty_pieces()]
+    pieces = [p for p in split if p is not None]
     interior = [p.hi for p in pieces[:-1]]
     snapped = [-math.inf]
     for b in interior:
@@ -764,7 +763,7 @@ def _draw_preorder_lemma(cell: dict, rng: np.random.Generator) -> dict:
     f = inputs["f"]
     y = symmetrize(apply_map(inputs["phi"], hermitize(inputs["x"])))
     split = monotone_sign_split(f, working_interval(hermitian_eigvals(y), domain=f.domain))
-    pieces = split.nonempty_pieces()
+    pieces = [(slot, p) for slot, p in enumerate(split) if p is not None]
     slot, piece = pieces[int(rng.integers(len(pieces)))]
     return dict(inputs, piece=piece, labels={"piece_slot": slot})
 

@@ -72,8 +72,9 @@ class PositiveMap:
     Exactly one of `kraus` / `action` is set. Kraus maps act as
     sum_k V_k* x V_k with V_k of shape (in_dim, out_dim); generic maps act on
     column-major vectorizations through an (out_dim^2 x in_dim^2) matrix.
-    Claimed flags record what the construction guarantees;
-    `unital_contractive` re-derives unitality and contractivity numerically.
+    Positivity is claimed: `claimed_positive` records what the construction
+    guarantees. Unitality and contractivity are measured on Phi(1) by
+    `unital_contractive`.
     """
 
     kind: str
@@ -82,8 +83,6 @@ class PositiveMap:
     kraus: tuple[np.ndarray, ...] | None = None
     action: np.ndarray | None = field(default=None, repr=False)
     claimed_positive: bool = True
-    claimed_unital: bool = False
-    claimed_contractive: bool = False
 
     def __post_init__(self) -> None:
         if (self.kraus is None) == (self.action is None):
@@ -103,9 +102,6 @@ class PositiveMap:
                     f"action shape {act.shape} != ({self.out_dim ** 2}, {self.in_dim ** 2})"
                 )
             object.__setattr__(self, "action", act)
-
-    def __call__(self, x) -> np.ndarray:
-        return apply_map(self, x)
 
     def on_identity(self) -> np.ndarray:
         return apply_map(self, np.eye(self.in_dim))
@@ -185,7 +181,6 @@ def identity_map(dim: int) -> PositiveMap:
     return PositiveMap(
         kind="identity", in_dim=dim, out_dim=dim,
         kraus=(np.eye(dim, dtype=np.complex128),),
-        claimed_positive=True, claimed_unital=True, claimed_contractive=True,
     )
 
 
@@ -196,19 +191,13 @@ def transpose_map(dim: int) -> PositiveMap:
         for j in range(dim):
             # vec index of entry (m, n) is m + n*dim; transpose sends (i, j) -> (j, i)
             act[j + i * dim, i + j * dim] = 1.0
-    return PositiveMap(
-        kind="transpose", in_dim=dim, out_dim=dim, action=act,
-        claimed_positive=True, claimed_unital=True, claimed_contractive=True,
-    )
+    return PositiveMap(kind="transpose", in_dim=dim, out_dim=dim, action=act)
 
 
 def pinching_map(projections: list[np.ndarray]) -> PositiveMap:
     ps = tuple(as_complex(p) for p in projections)
     dim = ps[0].shape[0]
-    return PositiveMap(
-        kind="pinching", in_dim=dim, out_dim=dim, kraus=ps,
-        claimed_positive=True, claimed_unital=True, claimed_contractive=True,
-    )
+    return PositiveMap(kind="pinching", in_dim=dim, out_dim=dim, kraus=ps)
 
 
 def slice_compress_map(a, space: TensorSpace, w1: float) -> PositiveMap:
@@ -225,13 +214,7 @@ def slice_compress_map(a, space: TensorSpace, w1: float) -> PositiveMap:
     eye2 = np.eye(space.d2)
     root = np.sqrt(w1)
     ops = tuple(root * kron(am[:, i:i + 1], eye2) for i in range(space.d1))
-    norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
-    return PositiveMap(
-        kind="slice_compress", in_dim=space.total_dim, out_dim=space.d2, kraus=ops,
-        claimed_positive=True,
-        claimed_unital=abs(norm_sq - 1.0) <= _FLAG_TOL,
-        claimed_contractive=norm_sq <= 1.0 + _FLAG_TOL,
-    )
+    return PositiveMap(kind="slice_compress", in_dim=space.total_dim, out_dim=space.d2, kraus=ops)
 
 
 def _random_partition(n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -271,7 +254,6 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
         return PositiveMap(
             kind="zero", in_dim=in_dim, out_dim=out_dim,
             kraus=(np.zeros((in_dim, out_dim), dtype=np.complex128),),
-            claimed_positive=True, claimed_unital=False, claimed_contractive=True,
         )
     if kind == "pinching":
         u = random_unitary(in_dim, rng)
@@ -291,10 +273,7 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
         act4 = act.reshape(n, n, n, n)
         for i in range(n):
             act4[:, :, i, i] += (r / n).T
-        return PositiveMap(
-            kind=kind, in_dim=n, out_dim=n, action=act,
-            claimed_positive=False, claimed_unital=True, claimed_contractive=False,
-        )
+        return PositiveMap(kind=kind, in_dim=n, out_dim=n, action=act, claimed_positive=False)
     if kind in ("ucp_stinespring", "scaled_contractive", "expansive"):
         env = 2
         while in_dim * env < out_dim:
@@ -307,15 +286,9 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
             np.ascontiguousarray(isometry[k::env, :]) for k in range(env)
         )
         if kind == "ucp_stinespring":
-            return PositiveMap(
-                kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=ops,
-                claimed_positive=True, claimed_unital=True, claimed_contractive=True,
-            )
+            return PositiveMap(kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=ops)
         contractive = kind == "scaled_contractive"
         c = float(rng.uniform()) if contractive else 1.0 + float(rng.uniform(0.25, 1.0))
         scaled = tuple(np.sqrt(c) * v for v in ops)
-        return PositiveMap(
-            kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=scaled,
-            claimed_positive=True, claimed_unital=False, claimed_contractive=contractive,
-        )
+        return PositiveMap(kind=kind, in_dim=in_dim, out_dim=out_dim, kraus=scaled)
     raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")

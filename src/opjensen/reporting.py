@@ -127,7 +127,3 @@ class CheckReport:
             passed=bool(obj["pass"]),
             witness=obj.get("witness"),
         )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "CheckReport":
-        return cls.from_dict(json.loads(line))

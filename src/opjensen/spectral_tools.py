@@ -1,9 +1,9 @@
 """Spectral calculus beyond plain diagonalization.
 
 Spectral projections with eigenvalue clustering, Jordan decomposition,
-support projections, generalized singular-number step functions, the
-Murray-von Neumann spectral pre-order, monotone/sign splitting of convex
-functions, pinchings, and the projection-lattice rank identity.
+generalized singular-number step functions, the Murray-von Neumann spectral
+pre-order, monotone/sign splitting of convex functions, pinchings, and the
+projection-lattice rank identity.
 """
 
 from __future__ import annotations
@@ -120,43 +120,6 @@ def jordan_split(h) -> tuple[np.ndarray, np.ndarray]:
     dec = hermitian_eig(h)
     return (dec.with_eigenvalues(np.clip(dec.eigenvalues, 0.0, None)),
             dec.with_eigenvalues(np.clip(-dec.eigenvalues, 0.0, None)))
-
-
-def support_projection(x, floor: float = 0.0) -> np.ndarray:
-    """Least projection p with x p = x: the projection onto (ker x)^perp.
-
-    Computed from the SVD (small singular values need absolute accuracy the
-    squared Gram route cannot give), keeping directions above
-    1e-11 * ||x||_op. A positive `floor` additionally cuts singular values
-    below an absolute scale, for inputs that are exact zeros up to float
-    dust of a known magnitude.
-    """
-    a = require_square(as_complex(x))
-    _, s, vh = np.linalg.svd(a)
-    top = float(s[0]) if len(s) else 0.0
-    if top <= floor:
-        return np.zeros_like(a)
-    keep = s > max(1e-11 * top, floor)
-    rows = vh[keep, :]
-    return rows.conj().T @ rows
-
-
-def projection_rank(p) -> int:
-    """Rank of an (approximate) projection via its trace (within 1e-6 of an integer)."""
-    tr = float(np.trace(as_complex(p)).real)
-    r = round(tr)
-    if abs(tr - r) > 1e-6:
-        raise ValueError(f"trace {tr!r} is not close to an integer; not a projection?")
-    return int(r)
-
-
-def is_projection(p) -> bool:
-    """Whether p = p* = p^2 within 1e-10 * max(1, ||p||_F)."""
-    a = as_complex(p)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    bound = 1e-10 * max(1.0, frob(a))
-    return frob(a - a.conj().T) <= bound and frob(a @ a - a) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +241,6 @@ def preorder_violation(
 # Monotone/sign splitting of convex functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneSplit:
-    """Partition of a compact working interval into at most four maximal
-    pieces on which a convex function has constant sign and direction.
-
-    Slot meanings (None = empty): 0 nonnegative-decreasing,
-    1 nonpositive-decreasing, 2 nonpositive-increasing,
-    3 nonnegative-increasing. Pieces are [start, end) except the last, which
-    is closed.
-    """
-
-    intervals: tuple[Interval | None, Interval | None, Interval | None, Interval | None]
-
-    def nonempty_pieces(self) -> list[tuple[int, Interval]]:
-        return [(i, piece) for i, piece in enumerate(self.intervals) if piece is not None]
-
-
 def _ternary_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     width_target = 1e-12 * (hi - lo)
     a, b = lo, hi
@@ -334,14 +280,19 @@ def _grid_convexity_check(f: Callable[[float], float], lo: float, hi: float) -> 
         )
 
 
-def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit:
+def monotone_sign_split(
+    f: "ScalarFunction", working: Interval
+) -> tuple[Interval | None, Interval | None, Interval | None, Interval | None]:
     """Split a compact interval at the minimizer and sign changes of f.
 
     f must be continuous and convex on the working interval; non-convexity
-    detected on a sampling grid raises ConvexityError. The result has up to
-    four pieces, each with constant sign and monotonicity direction:
-    nonnegative-decreasing, nonpositive-decreasing, nonpositive-increasing,
-    nonnegative-increasing, with empty slots where the sign conditions fail.
+    detected on a sampling grid raises ConvexityError. The result is four
+    slots, each a maximal piece on which f has constant sign and direction,
+    or None where that piece is empty:
+    0 nonnegative-decreasing, 1 nonpositive-decreasing,
+    2 nonpositive-increasing, 3 nonnegative-increasing.
+    Pieces are [start, end) except the last, which is closed, so the
+    nonempty slots partition the interval.
     """
     if not working.is_bounded():
         raise ValueError("monotone_sign_split needs a compact working interval")
@@ -365,7 +316,7 @@ def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit
         else:
             pieces[0] = Interval.half_open(lo, t_min)
             pieces[3] = Interval.closed(t_min, hi)
-        return MonotoneSplit(tuple(pieces))
+        return tuple(pieces)
 
     z_down = _bisect_zero(f, lo, t_min, increasing=False) if f_lo > 0.0 else lo
     z_up = _bisect_zero(f, t_min, hi, increasing=True) if f_hi > 0.0 else hi
@@ -380,7 +331,7 @@ def monotone_sign_split(f: "ScalarFunction", working: Interval) -> MonotoneSplit
     elif z_up == hi and pieces[2] is not None:
         # Close the final negative piece so the split covers the interval.
         pieces[2] = Interval.closed(t_min, hi)
-    return MonotoneSplit(tuple(pieces))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +364,26 @@ def kaplansky_verify(p, q) -> bool:
     """Rank form of the parallelogram identity for a projection pair:
     rank(p v q) - rank(p) == rank(q) - rank(p ^ q).
 
-    The join is the support of p + q; the meet is the complement of the
-    support of (1-p) + (1-q).
+    p and q must equal their adjoints and squares within
+    1e-10 * max(1, ||.||_F). The join is the support of p + q; the meet is
+    the complement of the support of (1-p) + (1-q). A rank counts the
+    singular values above 1e-11 * s_max and above 1e-10: projections are
+    O(1) objects, so sums that vanish up to float dust count as zero.
     """
     pm = as_complex(p)
     qm = as_complex(q)
     if pm.shape != qm.shape:
         raise DimensionError("projections must have equal shape")
-    if not is_projection(pm) or not is_projection(qm):
-        raise ValueError("kaplansky_verify requires two (numerical) projections")
+    for m in (pm, qm):
+        bound = 1e-10 * max(1.0, frob(m))
+        if (m.ndim != 2 or m.shape[0] != m.shape[1]
+                or frob(m - m.conj().T) > bound or frob(m @ m - m) > bound):
+            raise ValueError("kaplansky_verify requires two (numerical) projections")
     n = pm.shape[0]
-    eye = np.eye(n)
-    # projections are O(1) objects: sums that vanish up to float dust must
-    # count as zero, hence the absolute floor
-    join = support_projection(pm + qm, floor=1e-10)
-    meet = eye - support_projection((eye - pm) + (eye - qm), floor=1e-10)
-    return projection_rank(join) - projection_rank(pm) == projection_rank(qm) - projection_rank(meet)
+
+    def rank(x: np.ndarray) -> int:
+        s = np.linalg.svd(x, compute_uv=False)
+        return int(np.sum(s > max(1e-11 * s.max(initial=0.0), 1e-10)))
+
+    meet_rank = n - rank(2.0 * np.eye(n) - pm - qm)
+    return rank(pm + qm) - rank(pm) == rank(qm) - meet_rank

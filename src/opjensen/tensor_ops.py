@@ -76,10 +76,6 @@ class BlockAlgebra:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_dims)
-
     def block_slices(self) -> list[slice]:
         out, start = [], 0
         for d in self.block_dims:
@@ -101,14 +97,6 @@ class BlockAlgebra:
         for w, blk in zip(self.trace_weights, self.blocks(x)):
             total += w * np.trace(blk)
         return float(total.real)
-
-    def off_block_mass(self, x: np.ndarray) -> float:
-        """Frobenius mass of x outside the block diagonal."""
-        a = as_complex(x)
-        rest = a.copy()
-        for s in self.block_slices():
-            rest[s, s] = 0.0
-        return float(np.linalg.norm(rest))
 
 
 def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:

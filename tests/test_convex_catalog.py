@@ -99,6 +99,18 @@ def test_spec_takes_exactly_its_parameters(spec):
         parse_function_spec(spec)
 
 
+@pytest.mark.parametrize("param", ["1", True, float("nan"), float("inf"), -float("inf")])
+def test_get_function_refuses_parameters_that_are_not_finite_numbers(param):
+    # a witness's params reach get_function unparsed: "1" and true ran as 1.0
+    with pytest.raises(UnknownFunctionError, match="finite real numbers"):
+        get_function("shifted_square", [param])
+
+
+def test_get_function_takes_integer_and_numpy_parameters():
+    assert get_function("shifted_square", [2]).params == (2.0,)
+    assert get_function("power", (np.float64(1.5),)).params == (1.5,)
+
+
 @pytest.mark.parametrize("spec, label", [
     ("hinge", "hinge:0.0"), ("hinge:0.5", "hinge:0.5"), ("linear", "linear:1.0"),
     ("power:1.5", "power:1.5"), ("const:-1", "const:-1.0"), ("square", "square"),

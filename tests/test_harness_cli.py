@@ -74,7 +74,7 @@ def test_reports_parse_as_check_reports(tmp_path):
     cfg = small_config(tmp_path, trials=10)
     run_campaign(cfg, jobs=1)
     for line in open(cfg.out_path).read().splitlines():
-        rep = CheckReport.from_json_line(line)
+        rep = CheckReport.from_dict(json.loads(line))
         assert rep.check_name == "check_cfl"
         assert rep.passed == (rep.gap >= -rep.tol)
 
@@ -669,6 +669,21 @@ def test_cli_replay_malformed_values(tmp_path, capsys):
     rec["witness"]["inputs"]["enforce_hypotheses"] = "false"
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "enforce_hypotheses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [["1"], [True], [float("nan")], [float("inf")]],
+                         ids=["string", "bool", "nan", "infinity"])
+def test_cli_replay_refuses_function_parameters_that_are_not_finite_numbers(
+        tmp_path, capsys, params):
+    # "1" and true replayed as 1.0 and reported "reproduced"; NaN and
+    # Infinity ended as numeric errors (exit 3)
+    fixture = os.path.join(os.path.dirname(__file__), "data", "witnesses.jsonl")
+    with open(fixture) as fh:
+        rec = next(r for r in map(json.loads, fh) if r["check_name"] == "check_petz")
+    assert rec["witness"]["inputs"]["function"] == {"name": "shifted_square", "params": [1.0]}
+    rec["witness"]["inputs"]["function"]["params"] = params
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "parameters must be finite real numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -45,6 +45,7 @@ from opjensen.linalg_core import (
 from opjensen.positive_maps import (
     MAP_KINDS,
     PositiveMap,
+    apply_map,
     identity_map,
     pinching_map,
     random_positive_map,
@@ -306,15 +307,13 @@ def test_petz_block_valued_map_weighted_algebra():
         base = random_positive_map("ucp_stinespring", 3, 4, rng)
         blocked = pinching_map([p1, p2])
         kraus = tuple(v @ p for v in base.kraus for p in (p1, p2))
-        phi = type(base)(
-            kind="block_ucp", in_dim=3, out_dim=4, kraus=kraus,
-            claimed_positive=True, claimed_unital=True, claimed_contractive=True,
-        )
+        phi = type(base)(kind="block_ucp", in_dim=3, out_dim=4, kraus=kraus, claimed_positive=True)
         assert frob(phi.on_identity() - np.eye(4)) <= 1e-10
         x = random_hermitian(3, rng)
         rep = check_petz(phi, x, get_function("abs"), alg)
         assert rep.passed, (s, rep.gap)
-        assert alg.off_block_mass(phi(x)) <= 1e-10
+        y = apply_map(phi, x)
+        assert frob(y[:2, 2:]) <= 1e-10 and frob(y[2:, :2]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def test_preorder_lemma_identity_map_trivial():
     x = random_hermitian(4, rng)
     f = get_function("square")
     split = monotone_sign_split(f, working_interval(hermitian_eig(x).eigenvalues))
-    for _, piece in split.nonempty_pieces():
+    for piece in [p for p in split if p is not None]:
         rep = check_spectral_preorder_lemma(
             identity_map(4), x, f, piece, BlockAlgebra.single(4)
         )
@@ -567,6 +566,70 @@ def test_pinching_chain_negative_parts_swap_map():
     assert abs(tr_e + 17.5) <= 1e-12 and abs(tr_fy + 5.0) <= 1e-12
     assert check_pinching_chain(_scaled(0.5, _SWAP), x, f, BlockAlgebra.single(2),
                                 enforce_hypotheses=False).passed
+
+
+def test_pinching_chain_positive_parts_exact_gap():
+    # Phi = 2 id, x = diag(1, 2), f = t^2: E(Phi(f(x))) = diag(2, 8) against
+    # f(Phi(x)) = diag(4, 16), so the positive parts break the pre-order at
+    # s = 3 (counts 2 against 1) and the traces are 10 < 20
+    f, x = get_function("square"), np.diag([1.0, 2.0])
+    rep = check_pinching_chain(_scaled(2.0), x, f, BlockAlgebra.single(2),
+                               enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_positive_parts", "trace_inequality"]
+    assert rep.gap == -2.0
+    bad = rep.params["detail"]["preorder_positive_parts"]
+    assert (bad["count_a"], bad["count_b"]) == (2, 1) and abs(bad["s"] - 3.0) <= 1e-12
+    tr_e, tr_fy = rep.params["detail"]["trace_inequality"]
+    assert abs(tr_e - 10.0) <= 1e-12 and abs(tr_fy - 20.0) <= 1e-12
+    # the control: Phi = id / 2 gives diag(1/2, 2) against diag(1/4, 1)
+    assert check_pinching_chain(_scaled(0.5), x, f, BlockAlgebra.single(2),
+                                enforce_hypotheses=False).passed
+
+
+def test_preorder_lemma_nonnegative_piece_exact_gap():
+    # Phi = 2 id, x = diag(3/2, 2), f = t^2 - 5 >= 0 on a piece holding
+    # spec Phi(x) = {3, 4}: p Phi(f(x)) p = diag(-5.5, -2) is not positive and
+    # does not dominate p f(Phi(x)) p = diag(4, 11) (s = -3.75, counts 2 against 1)
+    f, piece = get_function("shifted_square", (-5.0,)), Interval.closed(2.9, 4.1)
+    rep = check_spectral_preorder_lemma(_scaled(2.0), np.diag([1.5, 2.0]), f, piece,
+                                        BlockAlgebra.single(2), enforce_hypotheses=False)
+    assert rep.params["failed"] == ["compressed_positivity", "preorder_nonnegative_piece"]
+    assert rep.params["piece_sign"] == 1
+    assert rep.gap == -2.0
+    assert abs(rep.params["detail"]["min_eigenvalue"] + 5.5) <= 1e-12
+    bad = rep.params["detail"]["preorder"]
+    assert (bad["count_a"], bad["count_b"]) == (2, 1) and abs(bad["s"] + 3.75) <= 1e-12
+    # the control: Phi = id at x = diag(3, 4), where both sides are f(x)
+    assert check_spectral_preorder_lemma(_scaled(1.0), np.diag([3.0, 4.0]), f, piece,
+                                         BlockAlgebra.single(2), enforce_hypotheses=False).passed
+
+
+# The projections onto (1, 1) / sqrt(2) and (1, -1) / sqrt(2).
+_HADAMARD = (np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+
+
+def test_preorder_lemma_nonpositive_piece_hadamard_pinching():
+    # Phi = 2 (P1 y P1 + P2 y P2) with Kraus operators sqrt(2) P1, sqrt(2) P2,
+    # x = diag(1/2, 1), f = t^2 - 5: Phi(x) = 1.5 I, a repeated eigenvalue, so
+    # -p f(Phi(x)) p = 2.75 I, while the negative part of p Phi(f(x)) p is
+    # 8.75 I (s = 5.75, counts 2 against 0)
+    f, x = get_function("shifted_square", (-5.0,)), np.diag([0.5, 1.0])
+    piece = Interval.closed(0.1, 2.2)
+
+    def pinch(c: float) -> PositiveMap:
+        return PositiveMap(kind="scaled_pinching", in_dim=2, out_dim=2,
+                           kraus=tuple(math.sqrt(c) * p for p in _HADAMARD))
+
+    rep = check_spectral_preorder_lemma(pinch(2.0), x, f, piece, BlockAlgebra.single(2),
+                                        enforce_hypotheses=False)
+    assert rep.params["failed"] == ["preorder_nonpositive_piece"]
+    assert rep.params["piece_sign"] == -1
+    assert rep.gap == -1.0
+    bad = rep.params["detail"]["preorder"]
+    assert (bad["count_a"], bad["count_b"]) == (2, 0) and abs(bad["s"] - 5.75) <= 1e-12
+    # at c = 1/2 the negative part 2.1875 I sits below 4.859375 I
+    assert check_spectral_preorder_lemma(pinch(0.5), x, f, piece, BlockAlgebra.single(2),
+                                         enforce_hypotheses=False).passed
 
 
 def test_preorder_lemma_draw_does_no_jacobi_eigensolve(monkeypatch):
@@ -874,10 +937,10 @@ def test_jordan_automorphism_equality(kind, fname):
         phi = transpose_map(3)
     else:
         phi = PositiveMap(kind=kind, in_dim=3, out_dim=3, kraus=(random_unitary(3, rng),),
-                          claimed_positive=True, claimed_unital=True, claimed_contractive=True)
+                          claimed_positive=True)
     x = random_hermitian(3, rng)
     _assert_equality(check_petz(phi, x, f, BlockAlgebra.single(3)))
-    xi = hermitian_eig(phi(x)).eigenvectors[:, 1]
+    xi = hermitian_eig(apply_map(phi, x)).eigenvectors[:, 1]
     _assert_equality(check_vector_jensen(phi, x, f, xi))
 
 
@@ -1011,7 +1074,7 @@ def _nonpositive_unital_action_by_loops(n: int, rng) -> np.ndarray:
                     act[m + mm * n, i + j * n] = blk[m, mm]
     base = PositiveMap(
         kind="nonpositive_unital", in_dim=n, out_dim=n, action=act,
-        claimed_positive=False, claimed_unital=False, claimed_contractive=False,
+        claimed_positive=False,
     )
     r = np.eye(n) - base.on_identity()
     act = act.copy()
@@ -1028,7 +1091,7 @@ def test_nonpositive_unital_map_equals_loop_reference(n):
         phi = random_positive_map("nonpositive_unital", n, n, rng_stream(71, n, seed))
         want = _nonpositive_unital_action_by_loops(n, rng_stream(71, n, seed))
         assert phi.action.tobytes() == want.tobytes()
-        assert phi.claimed_unital and not phi.claimed_positive
+        assert not phi.claimed_positive
         assert frob(phi.on_identity() - np.eye(n)) <= 1e-12
 
 
@@ -1061,11 +1124,25 @@ def test_replay_reproduces_bit_exactly():
     assert replayed.gap == res.witness.gap
 
 
+@pytest.mark.parametrize("target", ["petz_drop_f0", "drop_positivity"])
+def test_map_witness_records_no_claims_and_replays(target):
+    # a map records only the positivity it claims; unitality and
+    # contractivity are measured on Phi(1) when the witness is replayed
+    res = ablation_search(target, 4, [2, 3], 11)
+    rec = json.loads(res.witness.to_json_line())
+    phi = rec["witness"]["inputs"]["map"]
+    assert set(phi) - {"kraus", "action"} == {"kind", "in_dim", "out_dim", "claimed_positive"}
+    replayed = replay_report(rec)
+    for got, want in ((replayed.lhs, rec["lhs"]), (replayed.rhs, rec["rhs"]),
+                      (replayed.gap, rec["gap"])):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want))
+
+
 def test_replay_roundtrip_via_checkreport_json():
     res = ablation_search("drop_contractive", 8, [3], 13)
     if res.witness is None:
         pytest.skip("no violation found for this seed")
-    rt = CheckReport.from_json_line(res.witness.to_json_line())
+    rt = CheckReport.from_dict(json.loads(res.witness.to_json_line()))
     replayed = replay_report(rt)
     assert replayed.gap == res.witness.gap
 

@@ -86,7 +86,6 @@ def test_slice_compress_unitality():
     w1 = 0.3
     a = random_l2_normalized(3, rng_stream(7), w1)
     phi = slice_compress_map(a, space, w1)
-    assert phi.claimed_unital
     assert frob(phi.on_identity() - np.eye(2)) <= 1e-10
 
 
@@ -201,12 +200,11 @@ def test_ablation_kinds_break_their_hypothesis(in_dim, out_dim):
         c = float(phi.on_identity()[0, 0].real)
         assert 1.25 <= c < 2.0
         assert frob(phi.on_identity() - c * np.eye(out_dim)) <= 1e-12
-        assert (phi.claimed_positive, phi.claimed_unital, phi.claimed_contractive) == (
-            True, False, False)
+        assert phi.claimed_positive
         phi = random_positive_map("nonpositive_unital", in_dim, out_dim, rng_stream(s))
         assert (phi.in_dim, phi.out_dim) == (in_dim, in_dim)
         assert phi.unital_contractive()[0]
-        assert (phi.claimed_positive, phi.claimed_unital) == (False, True)
+        assert not phi.claimed_positive
     for kind in ("expansive", "nonpositive_unital"):
         assert kind not in MAP_KINDS and kind not in KIND_FLAGS
 

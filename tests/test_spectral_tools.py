@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opjensen.convex_catalog import get_function
-from opjensen.errors import BoundaryAmbiguityError, ConvexityError, PartitionError
+from opjensen.errors import BoundaryAmbiguityError, ConvexityError, DimensionError, PartitionError
 from opjensen.intervals import Interval
 from opjensen.linalg_core import (
     DEFAULT_TOL,
@@ -21,11 +21,9 @@ from opjensen.spectral_tools import (
     monotone_sign_split,
     pinching,
     preorder_violation,
-    projection_rank,
     singular_value_function,
     snap_away_from_spectrum,
     spectral_projection,
-    support_projection,
 )
 from opjensen.tensor_ops import BlockAlgebra
 
@@ -72,7 +70,7 @@ def test_spectral_projection_rank_matches_count():
         if np.min(np.abs(w - s)) < 1e-6:
             continue
         p = spectral_projection(h, Interval.greater_than(s))
-        assert projection_rank(p) == int(np.sum(w > s))
+        assert round(float(np.trace(p).real)) == int(np.sum(w > s))
 
 
 def test_spectral_projection_boundary_ambiguity():
@@ -120,21 +118,6 @@ def test_jordan_minimality_against_random_decompositions():
         r = g @ g.conj().T
         p_other = pos + r
         assert np.trace(pos).real <= np.trace(p_other).real + 1e-9
-
-
-def test_support_projection_examples():
-    assert np.allclose(support_projection(np.diag([5.0, 0.0])), np.diag([1.0, 0.0]))
-    inv = random_unitary(3, rng_stream(3))
-    assert np.allclose(support_projection(inv), np.eye(3), atol=1e-10)
-
-
-def test_support_projection_rank_oracle():
-    rng = rng_stream(19)
-    g = complex_gaussian(rng, 4, 2)
-    x = g @ complex_gaussian(rng, 2, 4)  # rank 2 generically
-    p = support_projection(x)
-    assert projection_rank(p) == np.linalg.matrix_rank(x)
-    assert frob(x @ p - x) <= 1e-10 * max(1.0, frob(x))
 
 
 def test_singular_value_function_diagonal():
@@ -213,17 +196,17 @@ def test_preorder_soundness_for_traces():
 
 def test_monotone_split_square():
     split = monotone_sign_split(get_function("square"), Interval.closed(-2.0, 2.0))
-    assert split.intervals[1] is None and split.intervals[2] is None
-    assert split.intervals[0] is not None and split.intervals[3] is not None
-    assert abs(split.intervals[3].lo) < 1e-6  # the minimizer
+    assert split[1] is None and split[2] is None
+    assert split[0] is not None and split[3] is not None
+    assert abs(split[3].lo) < 1e-6  # the minimizer
 
 
 def test_monotone_split_shifted_square():
     split = monotone_sign_split(get_function("shifted_square", (-1.0,)), Interval.closed(-2.0, 2.0))
-    pieces = split.nonempty_pieces()
+    pieces = [(slot, p) for slot, p in enumerate(split) if p is not None]
     assert len(pieces) == 4
-    assert abs(split.intervals[2].lo) < 1e-6  # the minimizer
-    assert abs(split.intervals[3].lo - 1.0) < 1e-9  # the zero crossing
+    assert abs(split[2].lo) < 1e-6  # the minimizer
+    assert abs(split[3].lo - 1.0) < 1e-9  # the zero crossing
     assert abs(pieces[0][1].hi + 1.0) < 1e-9  # sign change at -1
     # pieces tile the working interval
     assert pieces[0][1].lo == -2.0 and pieces[-1][1].hi == 2.0
@@ -233,19 +216,21 @@ def test_monotone_split_shifted_square():
 
 def test_monotone_split_hinge():
     split = monotone_sign_split(get_function("hinge", (0.0,)), Interval.closed(-1.0, 1.0))
-    assert split.intervals[1] is None and split.intervals[2] is None
-    last = split.intervals[3]
+    assert split[1] is None and split[2] is None
+    last = split[3]
     assert last is not None and abs(last.lo) < 1e-6 and last.hi == 1.0
 
 
-# Sign and direction of f on each slot of a MonotoneSplit.
+# Sign and direction of f on each slot of a monotone sign split.
 SLOT_SIGN_DIRECTION = {0: (1, "dec"), 1: (-1, "dec"), 2: (-1, "inc"), 3: (1, "inc")}
 
 
 def test_monotone_split_signs_sampled():
     f = get_function("shifted_square", (-1.0,))
     split = monotone_sign_split(f, Interval.closed(-2.0, 2.0))
-    for slot, piece in split.nonempty_pieces():
+    for slot, piece in enumerate(split):
+        if piece is None:
+            continue
         ts = np.linspace(piece.lo, piece.hi, 41)[1:-1]
         vals = np.array([f(t) for t in ts])
         sign, direction = SLOT_SIGN_DIRECTION[slot]
@@ -258,6 +243,16 @@ def test_monotone_split_signs_sampled():
             assert np.all(diffs <= 1e-9)
         else:
             assert np.all(diffs >= -1e-9)
+
+
+@pytest.mark.parametrize("name, params, lo, hi", [
+    ("square", (), -2.0, 2.0), ("shifted_square", (-1.0,), -2.0, 2.0), ("hinge", (), -1.0, 1.0),
+    ("exp", (), 0.0, 1.0),
+])
+def test_monotone_split_is_four_slots(name, params, lo, hi):
+    split = monotone_sign_split(get_function(name, params), Interval.closed(lo, hi))
+    assert type(split) is tuple and len(split) == 4
+    assert all(piece is None or isinstance(piece, Interval) for piece in split)
 
 
 def test_monotone_split_rejects_nonconvex():
@@ -329,3 +324,35 @@ def test_kaplansky_random_pairs():
 def test_kaplansky_rejects_non_projection():
     with pytest.raises(ValueError):
         kaplansky_verify(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+
+
+def _projection(columns) -> np.ndarray:
+    q, _ = np.linalg.qr(np.asarray(columns, dtype=complex))
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("p, q", [
+    # p = q: join and meet are p
+    (_projection([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+     _projection([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
+    # q = 1 - p: join is 1, meet is 0
+    (_projection([[1.0], [1.0], [0.0]]), np.eye(3) - _projection([[1.0], [1.0], [0.0]])),
+    # two planes in C^3 sharing exactly the direction e1: join is 1, meet has rank 1
+    (_projection([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+     _projection([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
+    # d = 1
+    (np.eye(1), np.zeros((1, 1))),
+], ids=["equal", "complement", "planes-sharing-a-line", "d1"])
+def test_kaplansky_known_join_and_meet(p, q):
+    assert kaplansky_verify(p, q)
+    assert kaplansky_verify(q, p)
+
+
+def test_kaplansky_refuses_near_projection():
+    p = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        kaplansky_verify(p + 1e-6 * np.diag([1.0, 0.0, 0.0]), p)
+    with pytest.raises(ValueError):
+        kaplansky_verify(p, p + 1e-6 * np.ones((3, 3)))
+    with pytest.raises(DimensionError):
+        kaplansky_verify(p, np.eye(2))

@@ -162,7 +162,7 @@ def test_block_algebra_weighted_trace():
     alg = BlockAlgebra((2, 3), (0.5, 2.0))
     x = np.diag([1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
     assert np.isclose(alg.trace(x), 0.5 * 2 + 2.0 * 3)
-    assert alg.total_dim == 5 and alg.n_blocks == 2
+    assert alg.total_dim == 5 and len(alg.block_dims) == 2
 
 
 def test_block_algebra_validation():
@@ -170,11 +170,4 @@ def test_block_algebra_validation():
         BlockAlgebra((2, 3), (0.5,))
     with pytest.raises(Exception):
         BlockAlgebra((2,), (0.0,))
-
-
-def test_block_algebra_off_block_mass():
-    alg = BlockAlgebra((1, 1), (1.0, 1.0))
-    x = np.array([[1.0, 5.0], [5.0, 2.0]])
-    assert alg.off_block_mass(x) > 1.0
-    assert alg.off_block_mass(np.diag([1.0, 2.0])) == 0.0
 
