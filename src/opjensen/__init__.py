@@ -58,7 +58,6 @@ from .tensor_ops import (
     BlockAlgebra,
     TensorSpace,
     conjugate_compress,
-    partial_trace,
     slice_map,
 )
 

@@ -48,6 +48,7 @@ from .jensen_checks import (
 )
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
+from .reporting import _integer, _real
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,21 +56,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _SEED_ENV = "OPJENSEN_SEED"
-
-
-def _integer(value, what: str) -> int:
-    """int(value) of a JSON number, refusing a bool, a string or a fractional
-    number it would truncate."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _refuse_unknown_keys(obj: dict, cls, where: str) -> None:

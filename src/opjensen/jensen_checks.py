@@ -24,6 +24,10 @@ bit-exactly. The inequalities verified:
   * check_hansen_pedersen: the operator-level contractive Jensen inequality
     f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
+check_cfl, check_main_tracial and check_state_version compute their sides
+in one function, `_jensen_sides`, over the densities of two positive
+functionals; a weighted partial trace is `slice_map` against w 1.
+
 `CHECKS` registers each check once: its campaign axes, seeded instance
 generator, and named hypotheses. A hypothesis is a predicate over the facts
 it reads (f, the branch, the map's flags, rho's spectrum, ...); the check
@@ -87,7 +91,7 @@ from .positive_maps import (
     encode_map,
     random_positive_map,
 )
-from .reporting import CheckReport, decode_matrix, encode_matrix
+from .reporting import CheckReport, _boolean, _integer, _real, decode_matrix, encode_matrix
 from .spectral_tools import (
     _cluster_tol,
     jordan_split,
@@ -101,7 +105,6 @@ from .tensor_ops import (
     BlockAlgebra,
     TensorSpace,
     conjugate_compress,
-    partial_trace,
     slice_map,
 )
 
@@ -219,19 +222,19 @@ def _clamp_inside(lo: float, hi: float, domain: Interval) -> tuple[float, float]
 # The checks
 # ---------------------------------------------------------------------------
 
-def _tracial_sides(H: np.ndarray, a: np.ndarray, f: ScalarFunction, space: TensorSpace,
-                   weights: tuple[float, float]) -> tuple[float, float]:
-    """lhs and rhs of the weighted partial-trace Jensen inequality,
-      tau_2 f((tau_1 x id)[(a* x 1) H (a x 1)])  and  tau_1[a* (id x tau_2)(f(H)) a],
-    for self-adjoint H. The density-matrix (CFL) form is the case
-    a = rho^(1/2) with unit weights."""
-    w1, w2 = weights
-    compressed = hermitize(
-        partial_trace(conjugate_compress(H, a, space), "trace_first", space, weights)
-    )
-    lhs = w2 * float(np.trace(matrix_function(compressed, f)).real)
-    pt2_fH = hermitize(partial_trace(matrix_function(H, f), "trace_second", space, weights))
-    rhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)
+def _jensen_sides(H: np.ndarray, a: np.ndarray, f: ScalarFunction, space: TensorSpace,
+                  d1: np.ndarray, d2: np.ndarray) -> tuple[float, float]:
+    """lhs and rhs of the partial-trace Jensen inequality over the positive
+    functionals omega_i(y) = Tr(D_i y) with densities D1 = d1 on the first
+    factor and D2 = d2 on the second,
+      omega_2 f((omega_1 x id)[(a* x 1) H (a x 1)])  and  omega_1[a* (id x omega_2)(f(H)) a],
+    for self-adjoint H. A weighted trace w Tr is the functional with density
+    w 1: the CFL form is a = rho^(1/2) with unit densities, the main tracial
+    form takes (w1 1, w2 1), and the state version the states' densities."""
+    compressed = symmetrize(slice_map(conjugate_compress(H, a, space), d1, "left", space))
+    lhs = float(np.trace(d2 @ matrix_function(compressed, f)).real)
+    sliced = symmetrize(slice_map(matrix_function(H, f), d2, "right", space))
+    rhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)
     return lhs, rhs
 
 
@@ -243,14 +246,16 @@ def check_cfl(
     tol: ToleranceConfig = DEFAULT_TOL,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
-    """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2."""
+    """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2: the
+    sides over the unit densities (the plain traces Tr_1, Tr_2), a = rho^(1/2)."""
     Hm = hermitize(H)
     rho_m = hermitize(rho)
     if rho_m.shape != (space.d1, space.d1):
         raise DimensionError(f"rho has shape {rho_m.shape}, expected {space.d1}")
     dec = hermitian_eig(rho_m)
     _require("check_cfl", enforce_hypotheses, f=f, rho_spectrum=dec.eigenvalues)
-    lhs, rhs = _tracial_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space, (1.0, 1.0))
+    lhs, rhs = _jensen_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space,
+                             np.eye(space.d1), np.eye(space.d2))
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     inputs = dict(H=Hm, rho=rho_m, f=f, space=space, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
@@ -267,7 +272,9 @@ def check_main_tracial(
     tol: ToleranceConfig = DEFAULT_TOL,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
-    """Weighted-trace partial-trace Jensen inequality.
+    """Weighted-trace partial-trace Jensen inequality; the weighted trace
+    tau_i = w_i Tr is the functional with density w_i 1, so each weighted
+    partial trace is the slice against w_i 1.
 
     branch='normalized' requires tau_1(a* a) = 1; branch='subnormalized'
     requires tau_1(a* a) <= 1 and f(0) = 0.
@@ -281,7 +288,7 @@ def check_main_tracial(
         raise ValueError(f"unknown branch {branch!r}")
     norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
     _require("check_main_tracial", enforce_hypotheses, f=f, branch=branch, norm_sq=norm_sq)
-    lhs, rhs = _tracial_sides(Hm, am, f, space, (w1, w2))
+    lhs, rhs = _jensen_sides(Hm, am, f, space, w1 * np.eye(space.d1), w2 * np.eye(space.d2))
     params = {
         "d1": space.d1, "d2": space.d2, "function": f.label,
         "w1": w1, "w2": w2, "branch": branch,
@@ -535,16 +542,17 @@ def check_partial_trace_duality(
 ) -> CheckReport:
     """tau_2((tau_1 x id)((a* x 1) X (a x 1))) = tau_1(a* (id x tau_2)(X) a).
 
-    Both sides are computed through independent contraction orders; the
+    Both sides are computed through independent contraction orders, each
+    weighted partial trace as the slice against 1 times its weight; the
     report stores the absolute discrepancy in lhs (rhs = 0) and the two
     complex values in params.
     """
     Xm = as_complex(X)
     am = as_complex(a)
     w1, w2 = float(weights[0]), float(weights[1])
-    pt1 = partial_trace(conjugate_compress(Xm, am, space), "trace_first", space, (w1, 1.0))
+    pt1 = w1 * slice_map(conjugate_compress(Xm, am, space), np.eye(space.d1), "left", space)
     lhs_val = w2 * complex(np.trace(pt1))
-    pt2 = partial_trace(Xm, "trace_second", space, (1.0, w2))
+    pt2 = w2 * slice_map(Xm, np.eye(space.d2), "right", space)
     rhs_val = w1 * complex(np.trace(am.conj().T @ pt2 @ am))
     discrepancy = abs(lhs_val - rhs_val)
     tol_val = tol.bound(abs(lhs_val), abs(rhs_val))
@@ -573,7 +581,9 @@ def check_state_version(
 ) -> CheckReport:
     """Normal-state version: for faithful states rho_i(y) = Tr(D_i y), a
     contraction a, and operator convex f with f(0) <= 0 unless a is unitary,
-      rho_2 f[(rho_1 x id)((a* x 1) H (a x 1))] <= rho_1(a* (id x rho_2)(f(H)) a).
+      rho_2 f[(rho_1 x id)((a* x 1) H (a x 1))] <= rho_1(a* (id x rho_2)(f(H)) a),
+    the sides of the tracial forms taken over the densities D_1, D_2 in place
+    of w_1 1, w_2 1.
     """
     Hm = hermitize(H)
     am = as_complex(a)
@@ -584,12 +594,7 @@ def check_state_version(
             raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
     _require("check_state_version", enforce_hypotheses, f=f, a=am,
              a_unitary=_is_numerically_unitary(am), tol=tol, rho1=d1_m, rho2=d2_m)
-    X = conjugate_compress(Hm, am, space)
-    compressed = symmetrize(slice_map(X, d1_m, "left", space))
-    lhs = float(np.trace(d2_m @ matrix_function(compressed, f)).real)
-    fH = matrix_function(Hm, f)
-    sliced = symmetrize(slice_map(fH, d2_m, "right", space))
-    rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)
+    lhs, rhs = _jensen_sides(Hm, am, f, space, d1_m, d2_m)
     params = {"d1": space.d1, "d2": space.d2, "function": f.label}
     inputs = dict(H=Hm, a=am, f=f, rho1=d1_m, rho2=d2_m, space=space, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
@@ -800,34 +805,32 @@ def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
 # Witness codec: check argument -> (encode to witness keys, decode from them)
 # ---------------------------------------------------------------------------
 
-def _decode_enforce(d: dict) -> bool:
-    flag = d.get("enforce_hypotheses", True)
-    if not isinstance(flag, bool):
-        raise ValueError(f"enforce_hypotheses must be a JSON boolean, got {flag!r}")
-    return flag
-
-
 # Arguments not listed here are matrices stored under their own name. Every
 # witness records `tol` and `enforce_hypotheses`; witnesses written before it
-# did decode them to the defaults.
+# did decode them to the defaults. A dimension must be an integral JSON
+# number, a weight a JSON number and a flag a JSON boolean.
 _FIELDS: dict[str, tuple[Callable, Callable]] = {
     "f": (lambda f: {"function": {"name": f.name, "params": list(f.params)}},
           lambda d: get_function(d["function"]["name"], tuple(d["function"]["params"]))),
     "phi": (lambda phi: {"map": encode_map(phi)}, lambda d: decode_map(d["map"])),
     "space": (lambda s: {"d1": s.d1, "d2": s.d2},
-              lambda d: TensorSpace(int(d["d1"]), int(d["d2"]))),
-    "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"])),
+              lambda d: TensorSpace(_integer(d["d1"], "d1"), _integer(d["d2"], "d2"))),
+    "weights": (lambda w: {"w1": w[0], "w2": w[1]},
+                lambda d: (_real(d["w1"], "w1"), _real(d["w2"], "w2"))),
     "branch": (lambda b: {"branch": b}, lambda d: d["branch"]),
     "algebra": (lambda alg: {"algebra": {"block_dims": list(alg.block_dims),
                                          "trace_weights": list(alg.trace_weights)}},
-                lambda d: BlockAlgebra(tuple(d["algebra"]["block_dims"]),
-                                       tuple(d["algebra"]["trace_weights"]))),
+                lambda d: BlockAlgebra(
+                    tuple(_integer(n, "block_dims") for n in d["algebra"]["block_dims"]),
+                    tuple(_real(w, "trace_weights") for w in d["algebra"]["trace_weights"]))),
     "piece": (lambda p: {"piece": {"lo": p.lo, "hi": p.hi,
                                    "lo_open": p.lo_open, "hi_open": p.hi_open}},
               lambda d: Interval(**d["piece"])),
     "tol": (lambda t: {"tol": [t.atol, t.rtol, t.eig_cluster_tol]},
             lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL),
-    "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e}, _decode_enforce),
+    "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e},
+                           lambda d: _boolean(d.get("enforce_hypotheses", True),
+                                              "enforce_hypotheses")),
 }
 
 

@@ -32,6 +32,29 @@ def decode_matrix(obj) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# Readers of JSON scalars, shared by the campaign config and the witness
+# codec: each refuses a value of the wrong JSON type with a ValueError.
+def _integer(value, what: str) -> int:
+    """int(value) of a JSON number, refusing a bool, a string or a fractional
+    number it would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 class _EncodedOnRead:
     """Field descriptor: a zero-argument callable stored in the field is
     called on the first read, and its result replaces it."""

@@ -1,8 +1,9 @@
 """Bipartite tensor-product spaces and weighted trace machinery.
 
-Compression by a ⊗ 1, weighted partial traces, and the left/right slice
-maps that collapse one tensor factor against a state given by its density.
-The first tensor factor is always the slow (outer) index.
+Compression by a ⊗ 1, and the left/right slice maps that collapse one tensor
+factor against a positive functional given by its density. A weighted
+partial trace is the slice against w·1. The first tensor factor is always
+the slow (outer) index.
 
 Weighted traces model finite direct sums of matrix factors: on a block
 algebra with blocks n_k and weights w_k > 0, the trace of a block-diagonal x
@@ -22,7 +23,6 @@ __all__ = [
     "TensorSpace",
     "BlockAlgebra",
     "conjugate_compress",
-    "partial_trace",
     "slice_map",
 ]
 
@@ -113,41 +113,21 @@ def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
     return e.conj().T @ xm @ e
 
 
-def partial_trace(
-    x,
-    side: str,
-    space: TensorSpace,
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> np.ndarray:
-    """Weighted partial trace over one factor.
-
-    side='trace_first':  result[j2, k2] = w1 * sum_i1 X[(i1, j2), (i1, k2)]
-    side='trace_second': result[i1, j1] = w2 * sum_i2 X[(i1, i2), (j1, i2)]
-
-    Linear, *-compatible, and positivity-preserving; w1, w2 are the trace
-    weights of the single-block factor algebras.
-    """
-    t = space.reshape4(as_complex(x))
-    w1, w2 = float(weights[0]), float(weights[1])
-    if side == "trace_first":
-        return w1 * np.trace(t, axis1=0, axis2=2)
-    if side == "trace_second":
-        return w2 * np.trace(t, axis1=1, axis2=3)
-    raise ValueError(f"side must be 'trace_first' or 'trace_second', got {side!r}")
-
-
 def slice_map(x, density, side: str, space: TensorSpace) -> np.ndarray:
-    """Slice one tensor factor against the state omega(y) = Tr(D y) given by
-    its Hermitian density D.
+    """Slice one tensor factor against the functional omega(y) = Tr(D y)
+    given by its Hermitian density D.
 
     side='right': R_omega with omega on the second factor,
         R(a (x) b) = a * omega(b), output on the first factor.
     side='left':  L_omega with omega on the first factor,
         L(a (x) b) = omega(a) * b, output on the second factor.
 
-    Computed as a contraction of x against conj(D) = D^T; a density whose
-    shape does not match the sliced factor raises DimensionError. Positive
-    densities give positivity-preserving slices.
+    D = w·1 gives the partial trace weighted by w (the weighted trace
+    w Tr of a single-block factor), and a density matrix gives the slice by
+    a state. Computed as a contraction of x against conj(D) = D^T; a density
+    whose shape does not match the sliced factor raises DimensionError.
+    Linear and *-compatible; positive densities give positivity-preserving
+    slices.
     """
     t = space.reshape4(as_complex(x))
     sliced_dim = space.d2 if side == "right" else space.d1

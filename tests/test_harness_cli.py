@@ -671,19 +671,64 @@ def test_cli_replay_malformed_values(tmp_path, capsys):
     assert "enforce_hypotheses" in capsys.readouterr().err
 
 
+def _fixture_record(check_name: str) -> dict:
+    fixture = os.path.join(os.path.dirname(__file__), "data", "witnesses.jsonl")
+    with open(fixture) as fh:
+        return next(r for r in map(json.loads, fh) if r["check_name"] == check_name)
+
+
+def _edited_fixture_record(check_name: str, path: tuple[str, ...], value) -> dict:
+    """The fixture witness of a check with the input at `path` set to value."""
+    rec = _fixture_record(check_name)
+    target = rec["witness"]["inputs"]
+    for name in path[:-1]:
+        target = target[name]
+    target[path[-1]] = value
+    return rec
+
+
 @pytest.mark.parametrize("params", [["1"], [True], [float("nan")], [float("inf")]],
                          ids=["string", "bool", "nan", "infinity"])
 def test_cli_replay_refuses_function_parameters_that_are_not_finite_numbers(
         tmp_path, capsys, params):
     # "1" and true replayed as 1.0 and reported "reproduced"; NaN and
     # Infinity ended as numeric errors (exit 3)
-    fixture = os.path.join(os.path.dirname(__file__), "data", "witnesses.jsonl")
-    with open(fixture) as fh:
-        rec = next(r for r in map(json.loads, fh) if r["check_name"] == "check_petz")
+    rec = _fixture_record("check_petz")
     assert rec["witness"]["inputs"]["function"] == {"name": "shifted_square", "params": [1.0]}
     rec["witness"]["inputs"]["function"]["params"] = params
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "parameters must be finite real numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, path, value", [
+    ("check_petz", ("map", "in_dim"), 2.5),
+    ("check_petz", ("map", "out_dim"), "2"),
+    ("check_cfl", ("d1",), 2.5),
+    ("check_cfl", ("d2",), "2"),
+    ("check_petz", ("algebra", "block_dims"), [2.5]),
+    ("check_petz", ("algebra", "trace_weights"), [True]),
+    ("check_partial_trace_duality", ("w1",), True),
+    ("check_main_tracial", ("w2",), "1.0"),
+    ("check_spectral_preorder_lemma", ("map", "claimed_positive"), "false"),
+])
+def test_cli_replay_refuses_witness_fields_of_the_wrong_json_type(
+        tmp_path, capsys, check, path, value):
+    # int() truncated 2.5 and "2" and the witness replayed as "reproduced";
+    # the string "false" read as a positive map
+    rec = _edited_fixture_record(check, path, value)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert f"{path[-1]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, path", [
+    ("check_petz", ("map", "in_dim")), ("check_vector_jensen", ("map", "out_dim")),
+    ("check_cfl", ("d1",)), ("check_pinching_chain", ("algebra", "block_dims")),
+])
+def test_cli_replay_reads_an_integral_float_dimension(tmp_path, capsys, check, path):
+    # a map dimension of 2.0 crashed replay with a TypeError traceback, exit 1
+    rec = _edited_fixture_record(check, path, [2.0] if path[-1] == "block_dims" else 2.0)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
 
 
 @pytest.mark.parametrize("key, value", [

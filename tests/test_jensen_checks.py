@@ -761,6 +761,88 @@ def test_state_version_unitary_square_reduces_to_tracial():
                 assert abs(r_state.rhs - r_tr.rhs) <= 1e-11 * max(1.0, abs(r_tr.rhs))
 
 
+def test_state_version_first_factor_hamiltonian_exact_sides():
+    # H = A x 1 and a = 1 give lhs = Tr(rho1 A)^2 and rhs = Tr(rho1 A^2), by
+    # hand: (0.8 + 0.6)^2 = 1.96 and 0.8 + 1.8 = 2.6; rho2 drops out.
+    space = SPACE23
+    h = kron(np.diag([1.0, 3.0]), np.eye(3))
+    rep = check_state_version(h, np.eye(2), get_function("square"), np.diag([0.8, 0.2]),
+                              np.diag([0.2, 0.3, 0.5]), space)
+    assert rep.lhs == pytest.approx(1.96, rel=1e-14)
+    assert rep.rhs == pytest.approx(2.6, rel=1e-14)
+
+
+def _eigh_function(m: np.ndarray, f) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return np.einsum("ik,k,jk->ij", v, np.array([f(float(t)) for t in w]), v.conj())
+
+
+def _reference_sides(h, a, f, dens1, dens2):
+    """omega_2 f((omega_1 x id)[(a* x 1) H (a x 1)]) and
+    omega_1[a* (id x omega_2)(f(H)) a], omega_i(y) = Tr(D_i y), from
+    np.linalg.eigh and np.einsum alone."""
+    d1, d2 = dens1.shape[0], dens2.shape[0]
+    t = h.reshape(d1, d2, d1, d2)
+    x = np.einsum("ki,kplq,lj->ipjq", a.conj(), t, a)
+    left = np.einsum("ji,ipjq->pq", dens1, x)
+    lhs = np.einsum("qp,pq->", dens2, _eigh_function(left, f)).real
+    fh = _eigh_function(h, f).reshape(d1, d2, d1, d2)
+    right = np.einsum("qp,ipjq->ij", dens2, fh)
+    rhs = np.einsum("ji,ki,kl,lj->", dens1, a.conj(), right, a).real
+    return lhs, rhs
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _faithful(rng, n):
+    g = _gaussian(rng, n)
+    d = np.einsum("ik,jk->ij", g, g.conj()) + 0.1 * np.eye(n)
+    return d / np.trace(d).real
+
+
+def _assert_sides(rep, lhs, rhs):
+    assert abs(rep.lhs - lhs) <= 1e-10 * max(1.0, abs(lhs)), (rep.lhs, lhs)
+    assert abs(rep.rhs - rhs) <= 1e-10 * max(1.0, abs(rhs)), (rep.rhs, rhs)
+
+
+def test_jensen_sides_match_eigh_einsum_reference():
+    # Unequal d1, d2 make a swap of the factors, the slices or the densities show.
+    rng = np.random.default_rng(2024)
+    w1, w2 = 0.3, 2.5
+    for d1, d2 in ((2, 3), (3, 2)):
+        space = TensorSpace(d1, d2)
+        one1, one2 = np.eye(d1), np.eye(d2)
+        for _ in range(3):
+            g = _gaussian(rng, d1 * d2)
+            h = 0.5 * (g + g.conj().T)
+            rho = _faithful(rng, d1)
+            w, v = np.linalg.eigh(rho)
+            root = np.einsum("ik,k,jk->ij", v, np.sqrt(w), v.conj())
+            g = _gaussian(rng, d1)
+            unit = g / np.sqrt(w1 * np.einsum("ij,ij->", g.conj(), g).real)
+            for name in ("square", "quartic", "exp"):
+                f = get_function(name)
+                _assert_sides(check_cfl(h, rho, f, space),
+                              *_reference_sides(h, root, f, one1, one2))
+                _assert_sides(check_main_tracial(h, unit, f, space, (w1, w2), "normalized"),
+                              *_reference_sides(h, unit, f, w1 * one1, w2 * one2))
+                if f.vanishes_at_zero:
+                    sub = 0.6 * unit
+                    rep = check_main_tracial(h, sub, f, space, (w1, w2), "subnormalized")
+                    _assert_sides(rep, *_reference_sides(h, sub, f, w1 * one1, w2 * one2))
+            # a contraction: g scaled by 1.1 times its largest singular value
+            s_max = np.sqrt(np.linalg.eigh(np.einsum("ki,kj->ij", g.conj(), g))[0][-1])
+            a = g / (1.1 * s_max)
+            rho1, rho2 = _faithful(rng, d1), _faithful(rng, d2)
+            positive = np.einsum("ik,jk->ij", h, h.conj()) + 0.1 * np.eye(d1 * d2)
+            for name, hm in (("square", h), ("entropy", positive)):
+                f = get_function(name)
+                _assert_sides(check_state_version(hm, a, f, rho1, rho2, space),
+                              *_reference_sides(hm, a, f, rho1, rho2))
+
+
 def test_state_version_contraction_batches():
     for fname, params in (("square", ()), ("power", (1.5,))):
         f = get_function(fname, params)

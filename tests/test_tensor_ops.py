@@ -1,4 +1,5 @@
-"""Compressions, partial traces, slice maps, and weighted block traces."""
+"""Compressions, slice maps (a weighted partial trace is the slice against
+w 1), and weighted block traces."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from opjensen.tensor_ops import (
     BlockAlgebra,
     TensorSpace,
     conjugate_compress,
-    partial_trace,
     slice_map,
 )
 
@@ -69,31 +69,33 @@ def test_conjugate_compress_keeps_hermitian():
 
 
 def test_partial_trace_elementary_tensor():
+    # the partial trace over the second factor is the right slice against 1
     rng = rng_stream(21)
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    out = partial_trace(kron(a, b), "trace_second", SPACE23, (1.0, 1.0))
+    out = slice_map(kron(a, b), np.eye(3), "right", SPACE23)
     assert np.allclose(out, a * np.trace(b))
 
 
 def test_partial_trace_identity():
-    out = partial_trace(np.eye(6), "trace_first", SPACE23, (1.0, 1.0))
+    out = slice_map(np.eye(6), np.eye(2), "left", SPACE23)
     assert np.allclose(out, 2.0 * np.eye(3))
 
 
 def test_partial_trace_full_trace_oracle():
-    # tracing the remaining factor recovers the full weighted trace
+    # slicing by w1 1, then tracing the remaining factor with weight w2,
+    # recovers the full weighted trace
     x = random_hermitian(4, rng_stream(11))
     w1, w2 = 0.3, 2.5
-    pt = partial_trace(x, "trace_first", SPACE22, (w1, w2))
+    pt = slice_map(x, w1 * np.eye(2), "left", SPACE22)
     assert np.isclose(w2 * np.trace(pt), w1 * w2 * np.trace(x))
 
 
 def test_partial_trace_star_compatibility():
     x = complex_gaussian(rng_stream(12), 6, 6)
-    for side in ("trace_first", "trace_second"):
-        lhs = partial_trace(x.conj().T, side, SPACE23, (0.7, 1.3))
-        rhs = partial_trace(x, side, SPACE23, (0.7, 1.3)).conj().T
+    for side, density in (("left", 0.7 * np.eye(2)), ("right", 1.3 * np.eye(3))):
+        lhs = slice_map(x.conj().T, density, side, SPACE23)
+        rhs = slice_map(x, density, side, SPACE23).conj().T
         assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
 
 
@@ -101,8 +103,8 @@ def test_partial_trace_positivity():
     rng = rng_stream(13)
     g = complex_gaussian(rng, 6, 6)
     x = g @ g.conj().T
-    for side in ("trace_first", "trace_second"):
-        out = partial_trace(x, side, SPACE23, (1.0, 1.0))
+    for side, density in (("left", np.eye(2)), ("right", np.eye(3))):
+        out = slice_map(x, density, side, SPACE23)
         w = hermitian_eig(out).eigenvalues
         assert w[0] >= -1e-11 * frob(x)
 
@@ -112,9 +114,7 @@ def test_partial_trace_duality_with_embeddings():
     x = complex_gaussian(rng, 6, 6)
     y = complex_gaussian(rng, 3, 3)
     w1, w2 = 0.4, 1.7
-    lhs = w2 * np.trace(
-        partial_trace(x @ kron(np.eye(2), y), "trace_first", SPACE23, (w1, 1.0))
-    )
+    lhs = w2 * np.trace(slice_map(x @ kron(np.eye(2), y), w1 * np.eye(2), "left", SPACE23))
     rhs = w1 * w2 * np.trace(x @ kron(np.eye(2), y))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -145,7 +145,7 @@ def test_left_slice_equals_compress_then_trace():
     a = complex_gaussian(rng, 2, 2)
     w1 = 0.6
     lhs = slice_map(x, w1 * (a @ a.conj().T), "left", SPACE22)
-    rhs = partial_trace(conjugate_compress(x, a, SPACE22), "trace_first", SPACE22, (w1, 1.0))
+    rhs = slice_map(conjugate_compress(x, a, SPACE22), w1 * np.eye(2), "left", SPACE22)
     assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
 
 

@@ -38,27 +38,28 @@ _SPECTRAL = "src/opjensen/spectral_tools.py"
 
 # (name, module, original text, mutated text)
 MUTANTS = [
-    ("_tracial_sides lhs taken through duality (gap 0)", _CHECKS,
-     "    rhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)",
-     "    rhs = lhs = w1 * float(np.trace(a.conj().T @ pt2_fH @ a).real)"),
-    ("_tracial_sides drops w2", _CHECKS,
-     "    lhs = w2 * float(np.trace(matrix_function(compressed, f)).real)",
+    ("_jensen_sides rhs = lhs (gap 0 for CFL, main tracial and the state version)", _CHECKS,
+     "    rhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)",
+     "    rhs = lhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)"),
+    ("_jensen_sides lhs drops D2", _CHECKS,
+     "    lhs = float(np.trace(d2 @ matrix_function(compressed, f)).real)",
      "    lhs = float(np.trace(matrix_function(compressed, f)).real)"),
     ("check_cfl uses rho for rho^(1/2)", _CHECKS,
-     "_tracial_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space, (1.0, 1.0))",
-     "_tracial_sides(Hm, rho_m, f, space, (1.0, 1.0))"),
+     "_jensen_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space,",
+     "_jensen_sides(Hm, rho_m, f, space,"),
     ("check_petz lhs = rhs", _CHECKS,
      "    rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))",
      "    rhs = lhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))"),
     ("check_vector_jensen lhs = rhs", _CHECKS,
      "    rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)",
      "    rhs = lhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)"),
-    ("check_state_version slices by I/d1 instead of rho1", _CHECKS,
-     'compressed = symmetrize(slice_map(X, d1_m, "left", space))',
-     'compressed = symmetrize(slice_map(X, np.eye(space.d1) / space.d1, "left", space))'),
-    ("check_state_version lhs = rhs", _CHECKS,
-     "    rhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)",
-     "    rhs = lhs = float(np.trace(d1_m @ (am.conj().T @ sliced @ am)).real)"),
+    ("check_state_version passes I/d1 for rho1", _CHECKS,
+     "    lhs, rhs = _jensen_sides(Hm, am, f, space, d1_m, d2_m)",
+     "    lhs, rhs = _jensen_sides(Hm, am, f, space, np.eye(space.d1) / space.d1, d2_m)"),
+    ("_jensen_sides slices the left side by I/d1 instead of D1", _CHECKS,
+     'compressed = symmetrize(slice_map(conjugate_compress(H, a, space), d1, "left", space))',
+     "compressed = symmetrize(slice_map(conjugate_compress(H, a, space),"
+     ' np.eye(space.d1) / space.d1, "left", space))'),
     ("check_hansen_pedersen reports |lambda_min|", _CHECKS,
      "    lam_min = float(hermitian_eigvals(diff)[0])",
      "    lam_min = abs(float(hermitian_eigvals(diff)[0]))"),
