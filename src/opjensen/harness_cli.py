@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .convex_catalog import ScalarFunction, parse_function_spec
 from .errors import (
@@ -48,7 +48,7 @@ from .jensen_checks import (
 )
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
-from .reporting import _integer, _real
+from .reporting import JSON_SHAPES, CheckReport, read_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -56,36 +56,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _SEED_ENV = "OPJENSEN_SEED"
-
-
-def _refuse_unknown_keys(obj: dict, cls, where: str) -> None:
-    """Raise if obj has a key that is not a field of the dataclass cls."""
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} {where}")
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"'{what}' must be a JSON string, got {value!r}")
-    return value
-
-
-def _strings(value, what: str) -> list[str]:
-    """A config value that must be a JSON list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"'{what}' must be a JSON list of strings, got {value!r}")
-    return list(value)
-
-
-def _pairs(entries, convert, what: str) -> list[tuple]:
-    """Config entries that must each be a two-element list."""
-    out = []
-    for entry in entries:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"each {what} entry must be a pair, got {entry!r}")
-        out.append((convert(entry[0], what), convert(entry[1], what)))
-    return out
 
 
 @dataclass
@@ -104,12 +74,12 @@ class CampaignConfig:
     def from_dict(cls, obj: dict) -> "CampaignConfig":
         """The config a JSON object describes; a key it leaves out keeps the
         dataclass default."""
-        if not isinstance(obj, dict):
-            raise UsageError("malformed campaign config: the top level must be a JSON object")
         try:
-            _refuse_unknown_keys(obj, cls, "at the top level")
-            return cls(**{key: _CONFIG_FIELDS[key](value) for key, value in obj.items()})
-        except (KeyError, TypeError, ValueError) as exc:
+            values = read_json(obj, JSON_SHAPES["config"], "the top level", closed=True)
+            if "tolerances" in values:
+                values["tolerances"] = ToleranceConfig(**values["tolerances"])
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed campaign config: {exc}") from exc
 
     @classmethod
@@ -120,27 +90,6 @@ class CampaignConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read campaign config {path!r}: {exc}") from exc
         return cls.from_dict(obj)
-
-
-def _tolerances(obj) -> ToleranceConfig:
-    if not isinstance(obj, dict):
-        raise TypeError("'tolerances' must be a JSON object")
-    _refuse_unknown_keys(obj, ToleranceConfig, "in 'tolerances'")
-    return ToleranceConfig(**{key: _real(value, key) for key, value in obj.items()})
-
-
-# How `CampaignConfig.from_dict` reads each key of a config object.
-_CONFIG_FIELDS = {
-    "checks": lambda v: _strings(v, "checks"),
-    "trials": lambda v: _integer(v, "trials"),
-    "dims": lambda v: _pairs(v, _integer, "dims"),
-    "functions": lambda v: _strings(v, "functions"),
-    "map_kinds": lambda v: _strings(v, "map_kinds"),
-    "weights": lambda v: _pairs(v, _real, "weights"),
-    "master_seed": lambda v: _integer(v, "master_seed"),
-    "tolerances": _tolerances,
-    "out_path": lambda v: _string(v, "out_path"),
-}
 
 
 def default_campaign(master_seed: int = 12345, out_path: str = "campaign_reports.jsonl") -> CampaignConfig:
@@ -503,19 +452,20 @@ def _cmd_replay(args) -> int:
     if original is None:
         raise UsageError("no report with a witness found in the file")
     replayed = replay_report(original)
-    rel = 1e-12
+    recorded = CheckReport.from_dict(original)  # replay_report has read it already
+    # The verdict, not only the numbers: the sides and gap to 1e-12 at scale 1
+    # or more, tol to 1e-12 relative, pass, and an indicator check's failures.
     reproduced = all(
-        abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-        for a, b in (
-            (replayed.lhs, original["lhs"]),
-            (replayed.rhs, original["rhs"]),
-            (replayed.gap, original["gap"]),
-        )
-    )
+        abs(a - b) <= 1e-12 * max(floor, abs(a), abs(b)) for a, b, floor in (
+            (replayed.lhs, recorded.lhs, 1.0), (replayed.rhs, recorded.rhs, 1.0),
+            (replayed.gap, recorded.gap, 1.0), (replayed.tol, recorded.tol, 0.0))
+    ) and (replayed.passed, replayed.params.get("failed")) == (
+        recorded.passed, recorded.params.get("failed"))
     print(json.dumps({
         "check": replayed.check_name,
         "lhs": replayed.lhs, "rhs": replayed.rhs, "gap": replayed.gap,
-        "recorded_gap": original["gap"], "reproduced": reproduced,
+        "recorded_gap": recorded.gap, "pass": replayed.passed, "recorded_pass": recorded.passed,
+        "reproduced": reproduced,
     }, sort_keys=True))
     return EXIT_OK if reproduced else EXIT_VIOLATION
 

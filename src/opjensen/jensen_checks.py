@@ -91,7 +91,7 @@ from .positive_maps import (
     encode_map,
     random_positive_map,
 )
-from .reporting import CheckReport, _boolean, _integer, _real, decode_matrix, encode_matrix
+from .reporting import JSON_SHAPES, CheckReport, decode_matrix, encode_matrix, read_json
 from .spectral_tools import (
     _cluster_tol,
     jordan_split,
@@ -807,30 +807,25 @@ def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
 
 # Arguments not listed here are matrices stored under their own name. Every
 # witness records `tol` and `enforce_hypotheses`; witnesses written before it
-# did decode them to the defaults. A dimension must be an integral JSON
-# number, a weight a JSON number and a flag a JSON boolean.
+# did decode them to the defaults. A decoder reads inputs that `replay_report`
+# has typed as `reporting.JSON_SHAPES` says.
 _FIELDS: dict[str, tuple[Callable, Callable]] = {
     "f": (lambda f: {"function": {"name": f.name, "params": list(f.params)}},
           lambda d: get_function(d["function"]["name"], tuple(d["function"]["params"]))),
     "phi": (lambda phi: {"map": encode_map(phi)}, lambda d: decode_map(d["map"])),
-    "space": (lambda s: {"d1": s.d1, "d2": s.d2},
-              lambda d: TensorSpace(_integer(d["d1"], "d1"), _integer(d["d2"], "d2"))),
-    "weights": (lambda w: {"w1": w[0], "w2": w[1]},
-                lambda d: (_real(d["w1"], "w1"), _real(d["w2"], "w2"))),
+    "space": (lambda s: {"d1": s.d1, "d2": s.d2}, lambda d: TensorSpace(d["d1"], d["d2"])),
+    "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"])),
     "branch": (lambda b: {"branch": b}, lambda d: d["branch"]),
     "algebra": (lambda alg: {"algebra": {"block_dims": list(alg.block_dims),
                                          "trace_weights": list(alg.trace_weights)}},
-                lambda d: BlockAlgebra(
-                    tuple(_integer(n, "block_dims") for n in d["algebra"]["block_dims"]),
-                    tuple(_real(w, "trace_weights") for w in d["algebra"]["trace_weights"]))),
+                lambda d: BlockAlgebra(**d["algebra"])),
     "piece": (lambda p: {"piece": {"lo": p.lo, "hi": p.hi,
                                    "lo_open": p.lo_open, "hi_open": p.hi_open}},
               lambda d: Interval(**d["piece"])),
     "tol": (lambda t: {"tol": [t.atol, t.rtol, t.eig_cluster_tol]},
             lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL),
     "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e},
-                           lambda d: _boolean(d.get("enforce_hypotheses", True),
-                                              "enforce_hypotheses")),
+                           lambda d: d.get("enforce_hypotheses", True)),
 }
 
 
@@ -1086,14 +1081,16 @@ def replay_report(report: CheckReport | dict) -> CheckReport:
 
     The checks are pure functions, so the replay reproduces lhs, rhs, and gap
     bit-for-bit from the recorded matrices. A report that names no known
-    check, or lacks a field or input, is a usage error.
+    check, or lacks a field or input, or has one of the wrong JSON type, is a
+    usage error.
     """
     try:
         rep = report if isinstance(report, CheckReport) else CheckReport.from_dict(report)
         if not rep.witness or "inputs" not in rep.witness:
             raise UsageError("report carries no witness inputs to replay")
         spec = lookup_check(rep.check_name)
-        inputs = spec.decode(rep.witness["inputs"])
+        inputs = spec.decode(read_json(rep.witness["inputs"], JSON_SHAPES["witness inputs"],
+                                       "inputs"))
     except UsageError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

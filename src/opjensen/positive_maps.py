@@ -24,7 +24,7 @@ from .linalg_core import (
     random_hermitian,
     random_unitary,
 )
-from .reporting import _boolean, _integer, decode_matrix, encode_matrix
+from .reporting import decode_matrix, encode_matrix
 from .tensor_ops import TensorSpace
 
 __all__ = [
@@ -132,12 +132,8 @@ def encode_map(phi: PositiveMap) -> dict:
 
 
 def decode_map(obj: dict) -> PositiveMap:
-    """The map `encode_map` wrote; a dimension must be an integral JSON number
-    and `claimed_positive` a JSON boolean."""
+    """The map `encode_map` wrote, from a witness "map" `read_json` typed."""
     kwargs = {attr: obj[attr] for attr in _MAP_ATTRS}
-    for dim in ("in_dim", "out_dim"):
-        kwargs[dim] = _integer(kwargs[dim], dim)
-    _boolean(kwargs["claimed_positive"], "claimed_positive")
     if "kraus" in obj:
         kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
     else:

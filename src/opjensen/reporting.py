@@ -1,4 +1,4 @@
-"""Check reports and their wire format.
+"""Check reports, their wire format, and the reader of every JSON input.
 
 One CheckReport per verification trial. Reports serialize to JSON objects
 with sorted keys and repr-roundtrip floats, so identical trials produce
@@ -6,12 +6,14 @@ byte-identical JSON Lines. Complex scalars serialize as [re, im] pairs and
 matrices as row-major nested arrays of such pairs; failure witnesses carry
 every input needed to replay the trial bit-exactly. A failing report made by
 a check keeps its inputs and encodes them as the witness only when the
-witness is first read or written, and then only once.
+witness is first read or written, and then only once. `read_json` types a
+campaign config, a report and a witness's inputs as `JSON_SHAPES` says.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -32,27 +34,86 @@ def decode_matrix(obj) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-# Readers of JSON scalars, shared by the campaign config and the witness
-# codec: each refuses a value of the wrong JSON type with a ValueError.
-def _integer(value, what: str) -> int:
-    """int(value) of a JSON number, refusing a bool, a string or a fractional
-    number it would truncate."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+# The JSON shape of every outside input, as `read_json` reads it: `int` is an
+# integral number read as an int (2.0 reads as 2), `float` a number read as a
+# float, `numbers.Real` a number kept as written, `bool` and `str` a JSON
+# boolean and string, `dict` any object; [s] is a list of s, (s, ...) a list
+# of that length, {key: s} an object. A key not listed is read elsewhere: a
+# matrix payload by `decode_matrix`, function parameters by `get_function`.
+JSON_SHAPES: dict[str, dict] = {
+    "config": {
+        "checks": [str], "trials": int, "dims": [(int, int)], "functions": [str],
+        "map_kinds": [str], "weights": [(float, float)], "master_seed": int,
+        "tolerances": {"atol": float, "rtol": float, "eig_cluster_tol": float},
+        "out_path": str,
+    },
+    "report": {
+        "check_name": str, "seed": int, "params": dict, "lhs": float, "rhs": float,
+        "gap": float, "tol": float, "pass": bool, "witness": dict,
+    },
+    # The keys of `jensen_checks._FIELDS`; every other input is a matrix.
+    "witness inputs": {
+        "function": {"name": str},
+        "map": {"kind": str, "in_dim": int, "out_dim": int, "claimed_positive": bool},
+        "d1": int, "d2": int, "w1": float, "w2": float, "branch": str,
+        "algebra": {"block_dims": [int], "trace_weights": [float]},
+        "piece": {"lo": numbers.Real, "hi": numbers.Real, "lo_open": bool, "hi_open": bool},
+        "tol": (numbers.Real,) * 3,
+        "enforce_hypotheses": bool,
+    },
+}
+
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          numbers.Real: ("a number", "numbers"), bool: ("a JSON boolean", "JSON booleans"),
+          str: ("a JSON string", "strings"), dict: ("a JSON object", "JSON objects")}
+_WRONG = object()  # what `_converted` returns for a value of the wrong JSON type
 
 
-def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _describe(shape, plural: bool = False) -> str:
+    if not isinstance(shape, (list, tuple)):
+        return _NOUNS[shape][plural]
+    length = f"{len(shape)} " if isinstance(shape, tuple) else ""
+    return f"{'JSON lists' if plural else 'a JSON list'} of {length}{_describe(shape[0], True)}"
 
 
-def _boolean(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
-    return value
+def read_json(value, shape, name: str, closed: bool = False):
+    """`value` read as `shape`, a `JSON_SHAPES` entry: numbers converted as
+    the shape says, fixed-length lists as tuples, all else as written. An
+    object's unlisted keys are kept unread, or refused when `closed`. A value
+    of the wrong JSON type is a ValueError naming its innermost key."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        unknown = closed and sorted(value.keys() - shape.keys())
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {name}")
+        return {key: read_json(v, shape[key], key, closed) if key in shape else v
+                for key, v in value.items()}
+    out = _converted(value, shape)
+    if out is _WRONG:
+        # A field of strings is named in quotes, as its value would be.
+        label = repr(name) if shape in (str, [str]) else name
+        raise ValueError(f"{label} must be {_describe(shape)}, got {value!r}")
+    return out
+
+
+def _converted(value, shape):
+    """`value` as the shape of a list or a scalar says, or _WRONG."""
+    if isinstance(shape, (list, tuple)):  # a tuple is a list, as json writes it
+        if not isinstance(value, (list, tuple)) or (
+                isinstance(shape, tuple) and len(value) != len(shape)):
+            return _WRONG
+        items = [_converted(v, s) for v, s in zip(
+            value, shape * len(value) if isinstance(shape, list) else shape)]
+        if any(item is _WRONG for item in items):
+            return _WRONG
+        return items if isinstance(shape, list) else tuple(items)
+    if shape in (int, float, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                shape is int and isinstance(value, float) and not value.is_integer()):
+            return _WRONG
+        return value if shape is numbers.Real else shape(value)
+    return value if isinstance(value, shape) else _WRONG  # bool, str or dict
 
 
 class _EncodedOnRead:
@@ -139,14 +200,7 @@ class CheckReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CheckReport":
-        return cls(
-            check_name=obj["check_name"],
-            seed=int(obj["seed"]),
-            params=dict(obj.get("params", {})),
-            lhs=float(obj["lhs"]),
-            rhs=float(obj["rhs"]),
-            gap=float(obj["gap"]),
-            tol=float(obj["tol"]),
-            passed=bool(obj["pass"]),
-            witness=obj.get("witness"),
-        )
+        """The report `to_dict` wrote, its fields typed by `read_json`."""
+        d = read_json(obj, JSON_SHAPES["report"], "report")
+        return cls(d["check_name"], d["seed"], dict(d.get("params", {})), d["lhs"], d["rhs"],
+                   d["gap"], d["tol"], d["pass"], d.get("witness"))

@@ -22,6 +22,7 @@ from opjensen.harness_cli import (
     run_campaign,
     _csv_path_for,
 )
+from opjensen.jensen_checks import CHECKS
 from opjensen.linalg_core import ToleranceConfig
 from opjensen.reporting import CheckReport
 
@@ -710,11 +711,14 @@ def test_cli_replay_refuses_function_parameters_that_are_not_finite_numbers(
     ("check_partial_trace_duality", ("w1",), True),
     ("check_main_tracial", ("w2",), "1.0"),
     ("check_spectral_preorder_lemma", ("map", "claimed_positive"), "false"),
+    ("check_spectral_preorder_lemma", ("piece", "lo_open"), "false"),
+    ("check_petz", ("tol",), [True, 1e-9, 1e-10]),
 ])
 def test_cli_replay_refuses_witness_fields_of_the_wrong_json_type(
         tmp_path, capsys, check, path, value):
     # int() truncated 2.5 and "2" and the witness replayed as "reproduced";
-    # the string "false" read as a positive map
+    # the string "false" read as a positive map and as an open endpoint, and
+    # true as atol 1.0
     rec = _edited_fixture_record(check, path, value)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert f"{path[-1]} must be" in capsys.readouterr().err
@@ -729,6 +733,62 @@ def test_cli_replay_reads_an_integral_float_dimension(tmp_path, capsys, check, p
     rec = _edited_fixture_record(check, path, [2.0] if path[-1] == "block_dims" else 2.0)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["reproduced"] is True
+
+
+def _replayed(tmp_path, capsys, rec: dict) -> tuple[int, dict]:
+    """The exit code and printed line of `opjensen replay` on one record."""
+    rc = cli_entry(["replay", "--witness", _write(tmp_path, rec)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_cli_replay_prints_the_replayed_and_recorded_verdicts(tmp_path, capsys, check):
+    rc, out = _replayed(tmp_path, capsys, _fixture_record(check))
+    assert rc == EXIT_OK
+    assert (out["pass"], out["recorded_pass"], out["reproduced"]) == (False, False, True)
+
+
+@pytest.mark.parametrize("tol, replayed_pass", [
+    ([1e3, 0, 1e-10], True), ([2e-9, 1e-9, 1e-10], False),
+], ids=["flips_the_verdict", "keeps_the_verdict"])
+def test_cli_replay_refuses_a_witness_whose_tolerance_was_edited(
+        tmp_path, capsys, tol, replayed_pass):
+    # the gap of -2 reproduced, so both printed "reproduced": true and exited 0,
+    # the first though tol 1e3 turns the recorded FAIL into a PASS
+    rc, out = _replayed(tmp_path, capsys, _edited_fixture_record("check_petz", ("tol",), tol))
+    assert rc == EXIT_VIOLATION
+    assert (out["gap"], out["recorded_gap"]) == (-2.0, -2.0)
+    assert (out["pass"], out["recorded_pass"], out["reproduced"]) == (
+        replayed_pass, False, False)
+
+
+@pytest.mark.parametrize("check, failed", [
+    ("check_pinching_chain", ["preorder_negative_parts", "trace_inequality"]),
+    ("check_spectral_preorder_lemma", ["compressed_positivity", "preorder_nonpositive_piece"]),
+], ids=["pinching_chain", "preorder_lemma"])
+def test_cli_replay_refuses_other_failed_assertions_of_the_same_count(
+        tmp_path, capsys, check, failed):
+    # the gap is minus the number of failed assertions, so it reproduced
+    rec = _fixture_record(check)
+    assert len(rec["params"]["failed"]) == 2 and rec["params"]["failed"] != failed
+    rec["params"]["failed"] = failed
+    rc, out = _replayed(tmp_path, capsys, rec)
+    assert rc == EXIT_VIOLATION
+    assert (out["gap"], out["recorded_gap"], out["reproduced"]) == (-2.0, -2.0, False)
+
+
+def test_cli_replay_refuses_a_branch_that_is_not_a_json_string(tmp_path, capsys):
+    # 1 ended in a ValueError traceback from check_main_tracial, exit 1
+    rec = _edited_fixture_record("check_main_tracial", ("branch",), 1)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "'branch' must be a JSON string" in capsys.readouterr().err
+
+
+def test_cli_replay_refuses_a_recorded_pass_that_is_not_a_json_boolean(tmp_path, capsys):
+    # bool("false") is true, so the recorded FAIL read as a PASS
+    rec = dict(_fixture_record("check_petz"), **{"pass": "false"})
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "pass must be a JSON boolean" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

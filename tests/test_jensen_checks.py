@@ -31,6 +31,7 @@ from opjensen.jensen_checks import (
     working_interval,
 )
 from opjensen.linalg_core import (
+    ToleranceConfig,
     complex_gaussian,
     frob,
     hermitian_eig,
@@ -288,6 +289,55 @@ def test_petz_zero_map_f0_violation_is_exact():
     assert not rep.passed
     assert rep.lhs == float(n) and rep.rhs == 0.0
     assert abs(rep.gap + n) <= 1e-12
+
+
+F0_ONE = get_function("shifted_square", (1.0,))  # t^2 + 1, so f(0) = 1
+
+
+@pytest.mark.parametrize("algebra, lhs", [
+    (BlockAlgebra((2,), (2.5,)), 2.5 * 2),
+    (BlockAlgebra((1, 1), (0.3, 2.5)), 0.3 + 2.5),
+    (BlockAlgebra((2, 1), (0.3, 2.5)), 0.3 * 2 + 2.5),
+], ids=["one_block", "two_blocks", "unequal_blocks"])
+def test_petz_zero_map_lhs_is_the_weighted_trace_of_one(algebra, lhs):
+    # f(Phi(x)) = f(0) 1 = 1, so lhs = sum_k w_k n_k exactly, rhs = 0, and at
+    # the default tolerances tol = 1e-9 + 1e-9 * lhs
+    phi = random_positive_map("zero", 2, algebra.total_dim, rng_stream(0))
+    rep = check_petz(phi, random_hermitian(2, rng_stream(70)), F0_ONE, algebra,
+                     enforce_hypotheses=False)
+    assert (rep.lhs, rep.rhs, rep.gap) == (lhs, 0.0, -lhs)
+    assert rep.tol == 1e-9 + 1e-9 * lhs
+
+
+# atol + rtol * max(1, |values|) is exact in binary at these tolerances.
+QUARTER = ToleranceConfig(atol=0.5, rtol=0.25)
+
+
+def _zero_map_report(name: str) -> CheckReport:
+    """A zero-map report of a Petz-type check with f(0) = 1 on M_2."""
+    phi = random_positive_map("zero", 2, 2, rng_stream(0))
+    x = random_hermitian(2, rng_stream(70))
+    if name == "check_vector_jensen":
+        return check_vector_jensen(phi, x, F0_ONE, np.array([1.0, 0.0]), tol=QUARTER,
+                                   enforce_hypotheses=False)
+    return CHECKS[name].run(phi=phi, x=x, f=F0_ONE, algebra=BlockAlgebra.single(2),
+                            tol=QUARTER, enforce_hypotheses=False)
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("check_petz", 0.5 + 0.25 * 2),            # bound(lhs = 2, rhs = 0)
+    ("check_vector_jensen", 0.5 + 0.25 * 1),   # bound(lhs = f(0) = 1, rhs = 0)
+    ("check_pinching_chain", 0.5 + 0.25 * 1),  # bound() of an indicator check
+], ids=["petz", "vector_jensen", "pinching_chain"])
+def test_report_tol_is_atol_plus_rtol_times_the_scale(name, tol):
+    assert _zero_map_report(name).tol == tol
+
+
+def test_hansen_pedersen_tol_scales_with_the_norm_of_f_of_h():
+    # f(3 * 1) = (3^2 + 1) * 1, of operator norm 10: tol = 0.5 + 0.25 * 10
+    rep = check_hansen_pedersen(3.0 * np.eye(4), np.zeros((2, 2)), F0_ONE, SPACE22,
+                                tol=QUARTER, enforce_hypotheses=False)
+    assert rep.tol == 3.0
 
 
 def test_petz_zero_map_needs_f0_hypothesis():

@@ -1,4 +1,5 @@
-"""Report wire format: the matrix codec and when witnesses are encoded."""
+"""Report wire format: the matrix codec, when witnesses are encoded, and the
+reader of JSON inputs."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from opjensen import jensen_checks
 from opjensen.jensen_checks import CheckSpec, ablation_search, replay_report
-from opjensen.reporting import CheckReport, decode_matrix, encode_matrix
+from opjensen.reporting import JSON_SHAPES, CheckReport, decode_matrix, encode_matrix, read_json
 
 
 def _reference_encode(m) -> list:
@@ -124,3 +125,49 @@ def test_params_write_complex_arrays_and_numpy_scalars():
         '"nested":{"w":[-1,[[1.0,0.0],[-2.5,0.0]]]},"pair":[[-0.0,5e-324],[2,0.5]],'
         '"x":0.1,"z":[1.5,-0.25]},"pass":true,"rhs":0.0,"seed":0,"tol":0.0}'
     )
+
+
+def test_read_json_converts_numbers_as_their_shape_says():
+    got = read_json({"d1": 2.0, "w1": 1, "tol": [0, 0, 1e-10], "x": [[[1, 0]]],
+                     "piece": {"lo": 0, "hi": 1.5, "lo_open": False, "hi_open": True}},
+                    JSON_SHAPES["witness inputs"], "inputs")
+    assert got == {"d1": 2, "w1": 1.0, "tol": (0, 0, 1e-10), "x": [[[1, 0]]],
+                   "piece": {"lo": 0, "hi": 1.5, "lo_open": False, "hi_open": True}}
+    # a dimension as an int, a weight as a float; tol and piece ends as given
+    assert [type(got["d1"]), type(got["w1"]), type(got["tol"][0]), type(got["piece"]["lo"])] == [
+        int, float, int, int]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"d1": 2.5}, "d1 must be an integer, got 2.5"),
+    ({"tol": [1e-9, 1e-9]}, "tol must be a JSON list of 3 numbers, got [1e-09, 1e-09]"),
+    ({"branch": None}, "'branch' must be a JSON string, got None"),
+    ({"map": {"in_dim": True}}, "in_dim must be an integer, got True"),
+    ({"algebra": []}, "algebra must be a JSON object, got []"),
+    ({"algebra": {"trace_weights": ["1"]}},
+     "trace_weights must be a JSON list of numbers, got ['1']"),
+])
+def test_read_json_names_the_field_of_the_wrong_json_type(obj, message):
+    with pytest.raises(ValueError) as err:
+        read_json(obj, JSON_SHAPES["witness inputs"], "inputs")
+    assert str(err.value) == message
+
+
+def test_read_json_refuses_unknown_keys_only_when_closed():
+    shape = JSON_SHAPES["config"]
+    assert read_json({"checks": [], "dim": 1}, shape, "config") == {"checks": [], "dim": 1}
+    with pytest.raises(ValueError, match="unknown key\\(s\\) 'dim' in config"):
+        read_json({"checks": [], "dim": 1}, shape, "config", closed=True)
+    with pytest.raises(ValueError) as err:
+        read_json({"dims": [[2, 2, 2]]}, shape, "config", closed=True)
+    assert str(err.value) == "dims must be a JSON list of JSON lists of 2 integers, got [[2, 2, 2]]"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "7"), ("pass", "false"), ("pass", 0), ("lhs", None), ("check_name", 1),
+])
+def test_report_fields_of_the_wrong_json_type_are_refused(key, value):
+    # int("7") and bool("false") read the first two as seed 7 and a PASS
+    obj = dict(CheckReport("check_cfl", seed=3).to_dict(), **{key: value})
+    with pytest.raises(ValueError, match=f"{key}'? must be"):
+        CheckReport.from_dict(obj)

@@ -165,6 +165,12 @@ def test_block_algebra_weighted_trace():
     assert alg.total_dim == 5 and len(alg.block_dims) == 2
 
 
+def test_block_algebra_trace_weighs_each_block():
+    # sum_k w_k Tr(x_k) at weights (0.3, 2.5): 0.3 * (1 + 2) + 2.5 * (3 + 4 + 5)
+    alg = BlockAlgebra((2, 3), (0.3, 2.5))
+    assert alg.trace(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])) == 0.3 * 3.0 + 2.5 * 12.0
+
+
 def test_block_algebra_validation():
     with pytest.raises(Exception):
         BlockAlgebra((2, 3), (0.5,))

@@ -15,8 +15,8 @@ when a mutant fails fewer than `MIN_KILLERS` tests; else 0.
 
 Each mutant costs one tier-1 run, about 20-35 s on two cores, so the tests
 workflow does not run it. The `mutants` workflow runs it weekly, on demand,
-and on each pull request that edits `jensen_checks.py`, `spectral_tools.py`,
-the tests or this script.
+and on each pull request that edits a module of `src/opjensen/`, the tests
+or this script.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ MIN_KILLERS = 3
 
 _CHECKS = "src/opjensen/jensen_checks.py"
 _SPECTRAL = "src/opjensen/spectral_tools.py"
+_LINALG = "src/opjensen/linalg_core.py"
+_TENSOR = "src/opjensen/tensor_ops.py"
 
 # (name, module, original text, mutated text)
 MUTANTS = [
@@ -84,6 +86,12 @@ MUTANTS = [
     ("preorder_violation counts off by one", _SPECTRAL,
      "            if count_a > count_b:",
      "            if count_a > count_b + 1:"),
+    ("ToleranceConfig.bound uses 10 rtol", _LINALG,
+     "        return self.atol + self.rtol * scale",
+     "        return self.atol + 10 * self.rtol * scale"),
+    ("BlockAlgebra.trace drops the weights", _TENSOR,
+     "            total += w * np.trace(blk)",
+     "            total += np.trace(blk)"),
 ]
 
 
