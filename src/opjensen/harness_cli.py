@@ -26,7 +26,6 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .jensen_checks import (
+    BRANCHES,
     CHECKS,
     ablation_search,
     lookup_check,
@@ -49,6 +49,7 @@ from .jensen_checks import (
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
 from .reporting import JSON_SHAPES, CheckReport, read_json
+from .tensor_ops import require_trace_weights
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -140,13 +141,12 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
     for k in config.map_kinds:
         if k not in MAP_KINDS:
             raise UsageError(f"unknown map kind {k!r}; valid kinds: {', '.join(MAP_KINDS)}")
-    for w1, w2 in config.weights:
-        if not (0 < w1 < math.inf and 0 < w2 < math.inf):
-            raise UsageError(f"trace weights must be positive and finite, got ({w1}, {w2})")
+    for w in config.weights:
+        require_trace_weights(*w)
     functions = functions if "functions" in axes else [None]
     kinds = list(config.map_kinds) if "map_kinds" in axes else [None]
     weights = list(config.weights) if "weights" in axes else [(1.0, 1.0)]
-    branches = ("normalized", "subnormalized") if "branches" in axes else (None,)
+    branches = BRANCHES if "branches" in axes else (None,)
     # The hypotheses a cell fixes read only its function, map kind and branch.
     keep = {(i, kind, branch)
             for (i, f), kind, branch in itertools.product(enumerate(functions), kinds, branches)
@@ -326,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--map", default="ucp_stinespring", dest="map_kind")
     p_check.add_argument("--w1", type=float, default=1.0)
     p_check.add_argument("--w2", type=float, default=1.0)
-    p_check.add_argument("--branch", default="normalized",
-                         choices=["normalized", "subnormalized"])
+    p_check.add_argument("--branch", default=BRANCHES[0], choices=BRANCHES)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--tol", type=float, default=1e-9)

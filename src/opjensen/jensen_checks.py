@@ -5,41 +5,42 @@ Every check is a pure function of its mathematical inputs, plus `tol` and
 `enforce_hypotheses`, returning a CheckReport, so a failure witness replays
 bit-exactly. The inequalities verified:
 
+  * check_petz: tau(f(Phi(x))) <= tau(Phi(f(x))) for unital positive Phi and
+    self-adjoint x (contractive Phi allowed when f(0) = 0).
   * check_cfl: the density-matrix partial-trace inequality
       Tr_2 f(Tr_1((rho x 1)^(1/2) H (rho x 1)^(1/2))) <= Tr_1(rho^(1/2) Tr_2 f(H) rho^(1/2))
   * check_main_tracial: the weighted-trace version with a in L^2,
       tau_2 f((tau_1 x id)[(a* x 1) H (a x 1)]) <= tau_1[a* (id x tau_2) f(H) a],
     for tau_1(a* a) = 1, or tau_1(a* a) <= 1 with f(0) = 0.
-  * check_petz: tau(f(Phi(x))) <= tau(Phi(f(x))) for unital positive Phi and
-    self-adjoint x (contractive Phi allowed when f(0) = 0).
+  * check_state_version: the same over faithful normal states, for operator
+    convex f and a contraction a.
   * check_vector_jensen: f(<Phi(x) xi, xi>) <= <Phi(f(x)) xi, xi>.
-  * check_spectral_preorder_lemma: the compressed spectral pre-order
-    comparisons behind the Petz-type proof.
-  * check_pinching_chain: the pinching / Jordan-part bookkeeping chain that
-    assembles those comparisons into the trace inequality.
+  * check_spectral_preorder_lemma, check_pinching_chain: the compressed
+    spectral pre-order comparisons behind the Petz-type proof, and the
+    pinching / Jordan-part bookkeeping that assembles them.
   * check_partial_trace_duality: tau_2((tau_1 x id)((a* x 1) X (a x 1))) =
     tau_1(a* (id x tau_2)(X) a).
-  * check_state_version: the normal-state version with operator convex f and
-    a contraction a.
-  * check_hansen_pedersen: the operator-level contractive Jensen inequality
-    f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
+  * check_hansen_pedersen: f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
-check_cfl, check_main_tracial and check_state_version compute their sides
-in one function, `_jensen_sides`, over the densities of two positive
-functionals; a weighted partial trace is `slice_map` against w 1.
+Four checks share one Petz-type core, `_petz_sides`: omega(f(Phi(x))) and
+omega(Phi(f(x))) for a positive map Phi and a positive functional omega.
+check_petz runs it on its map and the algebra's weighted trace. The three
+Jensen checks (CFL, main tracial, the state version) run it, as the paper's
+proof does, on the slice of the first factor against a D1 a* and on
+omega = Tr(D2 .), where D1 and D2 are the densities of the two functionals
+(w 1 for a weighted trace w Tr).
 
 `CHECKS` registers each check once: its campaign axes, seeded instance
-generator, and named hypotheses. A hypothesis is a predicate over the facts
-it reads (f, the branch, the map's flags, rho's spectrum, ...); the check
-passes its facts to one `_require` call, which raises a HypothesisError
-naming every hypothesis that fails, and campaign expansion keeps the cells
-that meet the hypotheses whose facts a cell fixes. Each ablation target is a
-cell of its check, run with hypotheses off, that breaks one named
-hypothesis. Campaign expansion, trial generation, ablation searches, and
-replay all go through the registry. A check's report has seed 0; the drivers
-(`generate_trial`, `run_trial`, `ablation_search`, `replay_report`) stamp
-the trial's seed and add their labels to its params. A failure witness is
-the check's arguments, written by one codec shared by all checks.
+generator, and named hypotheses, each a predicate over the facts it reads (f,
+the branch, the map's flags, rho's spectrum, ...). A check passes its facts to
+one `_require` call, which raises a HypothesisError naming every hypothesis
+that fails; campaign expansion keeps the cells that meet the hypotheses whose
+facts a cell fixes, and each ablation target is a cell of its check, run with
+hypotheses off, that breaks one of them. Campaign expansion, trial generation,
+ablation searches and replay all go through the registry. A check's report
+has seed 0; the drivers (`generate_trial`, `run_trial`, `ablation_search`,
+`replay_report`) stamp the trial's seed and add their labels to its params. A
+failure witness is the check's arguments, written by one codec for all checks.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ from .tensor_ops import (
     BlockAlgebra,
     TensorSpace,
     conjugate_compress,
+    require_trace_weights,
     slice_map,
 )
 
@@ -124,6 +126,7 @@ __all__ = [
     "ablation_search",
     "AblationResult",
     "ABLATION_TARGETS",
+    "BRANCHES",
     "generate_trial",
     "run_trial",
     "replay_report",
@@ -134,18 +137,12 @@ __all__ = [
 # which hold only up to rounding on generated and replayed inputs.
 _HYPOTHESIS_SLACK = 1e-10
 _MAX_RESAMPLES = 64
+# The hypothesis sets of check_main_tracial, the values of its `branch`.
+BRANCHES = ("normalized", "subnormalized")
 
 
-def _report(
-    name: str,
-    params: dict,
-    lhs: float,
-    rhs: float,
-    gap: float,
-    tol_val: float,
-    passed: bool,
-    inputs: dict,
-) -> CheckReport:
+def _report(name: str, params: dict, lhs: float, rhs: float, gap: float, tol_val: float,
+            passed: bool, inputs: dict) -> CheckReport:
     """A check's report; a failing one carries its inputs as witness.
 
     `inputs` holds every argument of the check, as the check used them
@@ -222,20 +219,26 @@ def _clamp_inside(lo: float, hi: float, domain: Interval) -> tuple[float, float]
 # The checks
 # ---------------------------------------------------------------------------
 
+def _petz_sides(apply: Callable, x: np.ndarray, f: ScalarFunction,
+                omega: Callable) -> tuple[float, float]:
+    """omega(f(Phi(x))), f taken on the symmetrized Phi(x), and omega(Phi(f(x))):
+    the sides of the Petz-type trace inequality for self-adjoint x, a positive
+    map Phi = `apply` and a positive functional `omega`."""
+    lhs = omega(matrix_function(symmetrize(apply(x)), f))
+    rhs = omega(apply(matrix_function(x, f)))
+    return lhs, rhs
+
+
 def _jensen_sides(H: np.ndarray, a: np.ndarray, f: ScalarFunction, space: TensorSpace,
                   d1: np.ndarray, d2: np.ndarray) -> tuple[float, float]:
-    """lhs and rhs of the partial-trace Jensen inequality over the positive
-    functionals omega_i(y) = Tr(D_i y) with densities D1 = d1 on the first
-    factor and D2 = d2 on the second,
+    """lhs and rhs of the partial-trace Jensen inequality over the functionals
+    omega_i(y) = Tr(D_i y) with densities D1 = d1 and D2 = d2,
       omega_2 f((omega_1 x id)[(a* x 1) H (a x 1)])  and  omega_1[a* (id x omega_2)(f(H)) a],
-    for self-adjoint H. A weighted trace w Tr is the functional with density
-    w 1: the CFL form is a = rho^(1/2) with unit densities, the main tracial
-    form takes (w1 1, w2 1), and the state version the states' densities."""
-    compressed = symmetrize(slice_map(conjugate_compress(H, a, space), d1, "left", space))
-    lhs = float(np.trace(d2 @ matrix_function(compressed, f)).real)
-    sliced = symmetrize(slice_map(matrix_function(H, f), d2, "right", space))
-    rhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)
-    return lhs, rhs
+    as the Petz-type sides of the left slice against a D1 a* and omega_2: the
+    first-factor partial trace is cyclic, and Tr(D1 a* R_D2(Y) a) = Tr(D2 L_{a D1 a*}(Y))."""
+    rho = symmetrize(a @ d1 @ a.conj().T)
+    return _petz_sides(lambda x: slice_map(x, rho, "left", space), H, f,
+                       lambda y: float(np.trace(d2 @ y).real))
 
 
 def check_cfl(
@@ -282,17 +285,16 @@ def check_main_tracial(
     Hm = hermitize(H)
     am = as_complex(a)
     w1, w2 = float(weights[0]), float(weights[1])
+    require_trace_weights(w1, w2)
     if am.shape != (space.d1, space.d1):
         raise DimensionError(f"a has shape {am.shape}, expected ({space.d1}, {space.d1})")
-    if branch not in ("normalized", "subnormalized"):
-        raise ValueError(f"unknown branch {branch!r}")
+    if branch not in BRANCHES:
+        raise UsageError(f"unknown branch {branch!r}; valid branches: {', '.join(BRANCHES)}")
     norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
     _require("check_main_tracial", enforce_hypotheses, f=f, branch=branch, norm_sq=norm_sq)
     lhs, rhs = _jensen_sides(Hm, am, f, space, w1 * np.eye(space.d1), w2 * np.eye(space.d2))
-    params = {
-        "d1": space.d1, "d2": space.d2, "function": f.label,
-        "w1": w1, "w2": w2, "branch": branch,
-    }
+    params = {"d1": space.d1, "d2": space.d2, "function": f.label,
+              "w1": w1, "w2": w2, "branch": branch}
     inputs = dict(H=Hm, a=am, f=f, space=space, weights=(w1, w2), branch=branch, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
     return _one_sided_report("check_main_tracial", params, lhs, rhs, inputs)
@@ -326,9 +328,7 @@ def check_petz(
     """tau(f(Phi(x))) <= tau(Phi(f(x))) on the output algebra."""
     xm = hermitize(x)
     branch = _petz_branch("check_petz", phi, enforce_hypotheses, f=f)
-    y = symmetrize(apply_map(phi, xm))
-    lhs = algebra.trace(matrix_function(y, f))
-    rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))
+    lhs, rhs = _petz_sides(functools.partial(apply_map, phi), xm, f, algebra.trace)
     params = dict(_map_params(phi, f, branch), w2=algebra.trace_weights[0])
     inputs = dict(phi=phi, x=xm, f=f, algebra=algebra, tol=tol,
                   enforce_hypotheses=enforce_hypotheses)
@@ -550,6 +550,7 @@ def check_partial_trace_duality(
     Xm = as_complex(X)
     am = as_complex(a)
     w1, w2 = float(weights[0]), float(weights[1])
+    require_trace_weights(w1, w2)
     pt1 = w1 * slice_map(conjugate_compress(Xm, am, space), np.eye(space.d1), "left", space)
     lhs_val = w2 * complex(np.trace(pt1))
     pt2 = w2 * slice_map(Xm, np.eye(space.d2), "right", space)
@@ -589,7 +590,8 @@ def check_state_version(
     am = as_complex(a)
     d1_m = hermitize(rho1)
     d2_m = hermitize(rho2)
-    for name, dm, dim in (("rho1", d1_m, space.d1), ("rho2", d2_m, space.d2)):
+    for name, dm, dim in (("a", am, space.d1), ("rho1", d1_m, space.d1),
+                          ("rho2", d2_m, space.d2)):
         if dm.shape != (dim, dim):
             raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
     _require("check_state_version", enforce_hypotheses, f=f, a=am,

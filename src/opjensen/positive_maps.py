@@ -25,7 +25,7 @@ from .linalg_core import (
     random_unitary,
 )
 from .reporting import decode_matrix, encode_matrix
-from .tensor_ops import TensorSpace
+from .tensor_ops import TensorSpace, require_trace_weights
 
 __all__ = [
     "PositiveMap",
@@ -209,8 +209,7 @@ def slice_compress_map(a, space: TensorSpace, w1: float) -> PositiveMap:
     am = as_complex(a)
     if am.shape != (space.d1, space.d1):
         raise DimensionError(f"a has shape {am.shape}, expected ({space.d1}, {space.d1})")
-    if w1 <= 0:
-        raise ValueError("trace weight must be positive")
+    require_trace_weights(w1)
     eye2 = np.eye(space.d2)
     root = np.sqrt(w1)
     ops = tuple(root * kron(am[:, i:i + 1], eye2) for i in range(space.d1))

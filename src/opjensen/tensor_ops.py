@@ -12,19 +12,28 @@ is sum_k w_k * Tr(x_k). A tensor factor is a single block with one weight.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 from .linalg_core import as_complex, kron
 
 __all__ = [
     "TensorSpace",
     "BlockAlgebra",
+    "require_trace_weights",
     "conjugate_compress",
     "slice_map",
 ]
+
+
+def require_trace_weights(*weights: float) -> None:
+    """Refuse, as a usage error, trace weights that are not positive and finite."""
+    if not all(0 < w < math.inf for w in weights):
+        raise UsageError(f"trace weights must be positive and finite, got {list(weights)}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +60,7 @@ class TensorSpace:
 
 @dataclass(frozen=True)
 class BlockAlgebra:
-    """Direct sum of matrix factors M_{n_k} carrying trace weights w_k > 0."""
+    """Direct sum of matrix factors M_{n_k} with positive, finite trace weights w_k."""
 
     block_dims: tuple[int, ...]
     trace_weights: tuple[float, ...]
@@ -65,8 +74,7 @@ class BlockAlgebra:
             raise DimensionError("a block algebra needs at least one block")
         if any(d < 1 for d in self.block_dims):
             raise DimensionError("block dimensions must be >= 1")
-        if any(w <= 0 for w in self.trace_weights):
-            raise ValueError("trace weights must be strictly positive")
+        require_trace_weights(*self.trace_weights)
 
     @classmethod
     def single(cls, dim: int, weight: float = 1.0) -> "BlockAlgebra":
@@ -76,20 +84,14 @@ class BlockAlgebra:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for d in self.block_dims:
-            out.append(slice(start, start + d))
-            start += d
-        return out
-
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         a = as_complex(x)
         if a.shape != (self.total_dim, self.total_dim):
             raise DimensionError(
                 f"matrix shape {a.shape} does not match algebra of total dim {self.total_dim}"
             )
-        return [a[s, s] for s in self.block_slices()]
+        ends = list(itertools.accumulate(self.block_dims))
+        return [a[end - d:end, end - d:end] for d, end in zip(self.block_dims, ends)]
 
     def trace(self, x: np.ndarray) -> float:
         """Weighted trace sum_k w_k Tr(x_k) of a (block-diagonal) element."""
@@ -102,10 +104,7 @@ class BlockAlgebra:
 def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
     """(a* (x) 1) X (a (x) 1) for a acting on the first factor."""
     xm = as_complex(x)
-    if xm.shape != (space.total_dim, space.total_dim):
-        raise DimensionError(
-            f"matrix shape {xm.shape} does not match space {space.d1}x{space.d2}"
-        )
+    space.reshape4(xm)  # refuses a shape that does not match the space
     am = as_complex(a)
     if am.shape != (space.d1, space.d1):
         raise DimensionError(f"factor matrix shape {am.shape} does not match dim {space.d1}")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -782,6 +783,40 @@ def test_cli_replay_refuses_a_branch_that_is_not_a_json_string(tmp_path, capsys)
     rec = _edited_fixture_record("check_main_tracial", ("branch",), 1)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "'branch' must be a JSON string" in capsys.readouterr().err
+
+
+def test_cli_replay_refuses_an_unknown_branch(tmp_path, capsys):
+    # "bogus" ended in a ValueError traceback from check_main_tracial, exit 1
+    rec = _edited_fixture_record("check_main_tracial", ("branch",), "bogus")
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "unknown branch 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, path, value", [
+    ("check_partial_trace_duality", ("w1",), -2),
+    ("check_main_tracial", ("w1",), -1),
+    ("check_main_tracial", ("w1",), 0),
+    ("check_partial_trace_duality", ("w2",), math.inf),
+    ("check_petz", ("algebra", "trace_weights"), [math.nan]),
+], ids=["duality_w1_negative", "main_tracial_w1_negative", "main_tracial_w1_zero",
+        "duality_w2_infinite", "petz_algebra_weight_nan"])
+def test_cli_replay_refuses_trace_weights_that_are_not_positive_and_finite(
+        tmp_path, capsys, check, path, value):
+    # duality replayed w1 -2 as "reproduced", exit 0; main tracial exited 1 at
+    # w1 -1 and 0; duality computed NaN sides at w2 Infinity, exit 1; Petz
+    # exited 3 on a NaN algebra weight
+    rec = _edited_fixture_record(check, path, value)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "trace weights must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [
+    "check_main_tracial", "check_state_version", "check_hansen_pedersen"])
+def test_cli_replay_refuses_an_a_that_does_not_act_on_the_first_factor(tmp_path, capsys, check):
+    # each fixture has d1 = 2; a 3 x 3 a is a dimension error, exit 2
+    rec = _edited_fixture_record(check, ("a",), [[[0.1, 0.0]] * 3] * 3)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "shape (3, 3)" in capsys.readouterr().err
 
 
 def test_cli_replay_refuses_a_recorded_pass_that_is_not_a_json_boolean(tmp_path, capsys):

@@ -19,6 +19,7 @@ from opjensen.linalg_core import (
     kron,
     matrix_function,
     opnorm,
+    psd_sqrt,
     random_contraction,
     random_density,
     random_hermitian,
@@ -229,6 +230,22 @@ def test_matrix_function_clamps_closed_endpoint_dust():
 def test_matrix_function_rejects_beyond_endpoint_dust():
     with pytest.raises(DomainError):
         matrix_function(np.diag([-1e-6, 1.0]), get_function("power", (1.5,)))
+
+
+@pytest.mark.parametrize("spec", ["power:1.5", "power:3", "entropy"])
+def test_matrix_function_refuses_an_eigenvalue_1e_9_below_a_closed_endpoint(spec):
+    # float dust is 1e-12 relative; 1e-9 below the endpoint 0 is outside the domain
+    with pytest.raises(DomainError, match="outside the domain"):
+        matrix_function(np.diag([-1e-9, 1.0]), parse_function_spec(spec))
+
+
+@pytest.mark.parametrize("eigenvalues, root", [
+    ([4.0, -1.0], [2.0, 0.0]),
+    ([-0.25, 9.0, 0.0], [0.0, 3.0, 0.0]),
+    ([-4.0, -1e-3], [0.0, 0.0]),
+])
+def test_psd_sqrt_clips_negative_eigenvalues_to_zero(eigenvalues, root):
+    assert np.array_equal(psd_sqrt(np.diag(eigenvalues)), np.diag(root))
 
 
 # Catalog functions with coefficients, several parameters each.

@@ -1,9 +1,11 @@
 """Positive map representations, generators, and flag checking."""
 
+import math
+
 import numpy as np
 import pytest
 
-from opjensen.errors import DimensionError
+from opjensen.errors import DimensionError, UsageError
 from opjensen.linalg_core import (
     complex_gaussian,
     frob,
@@ -121,6 +123,12 @@ def test_slice_compress_matches_partial_trace_composition():
     x = random_hermitian(6, rng)
     composed = slice_map(conjugate_compress(x, a, space), w1 * np.eye(3), "left", space)
     assert frob(apply_map(phi, x) - composed) <= 1e-11 * max(1.0, frob(composed))
+
+
+@pytest.mark.parametrize("w1", [0.0, -1.0, math.inf, math.nan])
+def test_slice_compress_refuses_a_weight_that_is_not_positive_and_finite(w1):
+    with pytest.raises(UsageError, match="trace weights must be positive and finite"):
+        slice_compress_map(np.eye(2), TensorSpace(2, 2), w1)
 
 
 def test_ucp_stinespring_unital_many_seeds():

@@ -1,10 +1,12 @@
 """Compressions, slice maps (a weighted partial trace is the slice against
 w 1), and weighted block traces."""
 
+import math
+
 import numpy as np
 import pytest
 
-from opjensen.errors import DimensionError
+from opjensen.errors import DimensionError, UsageError
 from opjensen.linalg_core import (
     complex_gaussian,
     frob,
@@ -149,6 +151,33 @@ def test_left_slice_equals_compress_then_trace():
     assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
 
 
+def _slice_identity_inputs(space: TensorSpace, seed: int):
+    """Seeded complex X and a, Hermitian D1 and D2 over the space."""
+    rng = rng_stream(seed)
+    return (complex_gaussian(rng, space.total_dim, space.total_dim),
+            complex_gaussian(rng, space.d1, space.d1),
+            random_hermitian(space.d1, rng), random_hermitian(space.d2, rng))
+
+
+@pytest.mark.parametrize("space", [TensorSpace(2, 3), TensorSpace(3, 2)], ids=["2x3", "3x2"])
+def test_slicing_the_compression_against_d1_is_slicing_against_a_d1_a_star(space):
+    # the first-factor partial trace is cyclic: Tr_1((D1 a* (x) 1) X (a (x) 1))
+    # = Tr_1((a D1 a* (x) 1) X)
+    x, a, d1, _ = _slice_identity_inputs(space, 31)
+    lhs = slice_map(conjugate_compress(x, a, space), d1, "left", space)
+    rhs = slice_map(x, a @ d1 @ a.conj().T, "left", space)
+    assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
+
+
+@pytest.mark.parametrize("space", [TensorSpace(2, 3), TensorSpace(3, 2)], ids=["2x3", "3x2"])
+def test_right_slice_compressed_by_a_is_the_left_slice_against_a_d1_a_star(space):
+    # Tr(D1 a* R_D2(X) a) = Tr(D2 L_{a D1 a*}(X)), both Tr((a D1 a* (x) D2) X)
+    x, a, d1, d2 = _slice_identity_inputs(space, 32)
+    lhs = np.trace(d1 @ a.conj().T @ slice_map(x, d2, "right", space) @ a)
+    rhs = np.trace(d2 @ slice_map(x, a @ d1 @ a.conj().T, "left", space))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
 def test_positive_functional_gives_positive_slice():
     rng = rng_stream(16)
     g = complex_gaussian(rng, 6, 6)
@@ -177,3 +206,8 @@ def test_block_algebra_validation():
     with pytest.raises(Exception):
         BlockAlgebra((2,), (0.0,))
 
+
+@pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+def test_block_algebra_trace_weights_must_be_positive_and_finite(w):
+    with pytest.raises(UsageError, match="trace weights must be positive and finite"):
+        BlockAlgebra((2, 3), (1.0, w))

@@ -1,4 +1,4 @@
-"""Count the tests that kill each one-line mutant of the check cores.
+"""Count the tests that kill each one-line mutant of the layers a verdict reads.
 
 Run `python tools/mutants.py` from anywhere. For each mutant in `MUTANTS`,
 the script copies `src/`, `tests/`, `tools/`, `README.md` and
@@ -40,28 +40,28 @@ _TENSOR = "src/opjensen/tensor_ops.py"
 
 # (name, module, original text, mutated text)
 MUTANTS = [
-    ("_jensen_sides rhs = lhs (gap 0 for CFL, main tracial and the state version)", _CHECKS,
-     "    rhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)",
-     "    rhs = lhs = float(np.trace(d1 @ (a.conj().T @ sliced @ a)).real)"),
-    ("_jensen_sides lhs drops D2", _CHECKS,
-     "    lhs = float(np.trace(d2 @ matrix_function(compressed, f)).real)",
-     "    lhs = float(np.trace(matrix_function(compressed, f)).real)"),
+    ("_petz_sides lhs = rhs (gap 0 for CFL, main tracial, the state version and Petz)",
+     _CHECKS,
+     "    rhs = omega(apply(matrix_function(x, f)))",
+     "    rhs = lhs = omega(apply(matrix_function(x, f)))"),
+    ("_petz_sides rhs = lhs", _CHECKS,
+     "    return lhs, rhs\n\n\ndef _jensen_sides(",
+     "    return lhs, lhs\n\n\ndef _jensen_sides("),
+    ("_jensen_sides omega drops D2", _CHECKS,
+     "                       lambda y: float(np.trace(d2 @ y).real))",
+     "                       lambda y: float(np.trace(y).real))"),
     ("check_cfl uses rho for rho^(1/2)", _CHECKS,
      "_jensen_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space,",
      "_jensen_sides(Hm, rho_m, f, space,"),
-    ("check_petz lhs = rhs", _CHECKS,
-     "    rhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))",
-     "    rhs = lhs = algebra.trace(apply_map(phi, matrix_function(xm, f)))"),
     ("check_vector_jensen lhs = rhs", _CHECKS,
      "    rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)",
      "    rhs = lhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)"),
     ("check_state_version passes I/d1 for rho1", _CHECKS,
      "    lhs, rhs = _jensen_sides(Hm, am, f, space, d1_m, d2_m)",
      "    lhs, rhs = _jensen_sides(Hm, am, f, space, np.eye(space.d1) / space.d1, d2_m)"),
-    ("_jensen_sides slices the left side by I/d1 instead of D1", _CHECKS,
-     'compressed = symmetrize(slice_map(conjugate_compress(H, a, space), d1, "left", space))',
-     "compressed = symmetrize(slice_map(conjugate_compress(H, a, space),"
-     ' np.eye(space.d1) / space.d1, "left", space))'),
+    ("_jensen_sides slices against a (I/d1) a* instead of a D1 a*", _CHECKS,
+     "    rho = symmetrize(a @ d1 @ a.conj().T)",
+     "    rho = symmetrize(a @ (np.eye(space.d1) / space.d1) @ a.conj().T)"),
     ("check_hansen_pedersen reports |lambda_min|", _CHECKS,
      "    lam_min = float(hermitian_eigvals(diff)[0])",
      "    lam_min = abs(float(hermitian_eigvals(diff)[0]))"),
@@ -92,6 +92,21 @@ MUTANTS = [
     ("BlockAlgebra.trace drops the weights", _TENSOR,
      "            total += w * np.trace(blk)",
      "            total += np.trace(blk)"),
+    ("slice_map slices against D^T (drops .conj())", _TENSOR,
+     "    dens = dens.conj()",
+     "    dens = dens"),
+    ("conjugate_compress forms a X a* for a* X a", _TENSOR,
+     "    return e.conj().T @ xm @ e",
+     "    return e @ xm @ e.conj().T"),
+    ("matrix_function hands f.poly to _polynomial reversed", _LINALG,
+     "        return _polynomial(hermitize(m), f.poly)",
+     "        return _polynomial(hermitize(m), f.poly[::-1])"),
+    ("_fit_to_domain clamps within 1e-6 instead of 1e-12", _LINALG,
+     "            if abs(t - endpoint) <= 1e-12 * max(1.0, abs(endpoint)):",
+     "            if abs(t - endpoint) <= 1e-6 * max(1.0, abs(endpoint)):"),
+    ("psd_sqrt takes sqrt|lambda| instead of sqrt max(lambda, 0)", _LINALG,
+     "    return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))",
+     "    return dec.with_eigenvalues(np.sqrt(np.abs(dec.eigenvalues)))"),
 ]
 
 
