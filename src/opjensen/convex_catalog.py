@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownFunctionError
+from .errors import NumericError, UnknownFunctionError
 from .intervals import Interval, REAL_LINE
 from .linalg_core import (
     hermitian_eig,
@@ -53,7 +53,10 @@ class ScalarFunction:
     poly: tuple[float, ...] | None = None
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+        try:
+            return float(self.fn(t))
+        except OverflowError:
+            raise NumericError(f"{self.label}({t!r}) overflows a float") from None
 
     def __reduce__(self):
         # Pickles as its catalog key: `fn` is a closure, which pickle cannot

@@ -94,7 +94,9 @@ class CampaignConfig:
 
 
 def default_campaign(master_seed: int = 12345, out_path: str = "campaign_reports.jsonl") -> CampaignConfig:
-    """The built-in smoke campaign: every check over small dims."""
+    """The built-in smoke campaign: 40 trials of each check over small dims,
+    round-robin from the first valid cell, so the checks with more cells (the
+    map checks and main tracial) run only their first 40."""
     return CampaignConfig(
         checks=list(CHECKS),
         trials=40,

@@ -22,11 +22,12 @@ bit-exactly. The inequalities verified:
     tau_1(a* (id x tau_2)(X) a).
   * check_hansen_pedersen: f((a* x 1) H (a x 1)) <= (a* x 1) f(H) (a x 1).
 
-Four checks share one Petz-type core, `_petz_sides`: omega(f(Phi(x))) and
+Five checks share one Petz-type core, `_petz_sides`: omega(f(Phi(x))) and
 omega(Phi(f(x))) for a positive map Phi and a positive functional omega.
-check_petz runs it on its map and the algebra's weighted trace. The three
-Jensen checks (CFL, main tracial, the state version) run it, as the paper's
-proof does, on the slice of the first factor against a D1 a* and on
+check_petz runs it on its map and the algebra's weighted trace, and
+check_vector_jensen on y -> <Phi(y) xi, xi> into M_1 and its one entry. The
+three Jensen checks (CFL, main tracial, the state version) run it, as the
+paper's proof does, on the slice of the first factor against a D1 a* and on
 omega = Tr(D2 .), where D1 and D2 are the densities of the two functionals
 (w 1 for a weighted trace w Tr).
 
@@ -252,6 +253,7 @@ def check_cfl(
     """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2: the
     sides over the unit densities (the plain traces Tr_1, Tr_2), a = rho^(1/2)."""
     Hm = hermitize(H)
+    space.reshape4(Hm)  # refuses an H that does not act on the space
     rho_m = hermitize(rho)
     if rho_m.shape != (space.d1, space.d1):
         raise DimensionError(f"rho has shape {rho_m.shape}, expected {space.d1}")
@@ -283,6 +285,7 @@ def check_main_tracial(
     requires tau_1(a* a) <= 1 and f(0) = 0.
     """
     Hm = hermitize(H)
+    space.reshape4(Hm)  # refuses an H that does not act on the space
     am = as_complex(a)
     w1, w2 = float(weights[0]), float(weights[1])
     require_trace_weights(w1, w2)
@@ -343,15 +346,16 @@ def check_vector_jensen(
     tol: ToleranceConfig = DEFAULT_TOL,
     enforce_hypotheses: bool = True,
 ) -> CheckReport:
-    """f(<Phi(x) xi, xi>) <= <Phi(f(x)) xi, xi> for a unit vector xi."""
+    """f(<Phi(x) xi, xi>) <= <Phi(f(x)) xi, xi> for a unit vector xi: the
+    Petz-type sides of the map y -> <Phi(y) xi, xi> into M_1 (unital when Phi
+    is) and omega its one entry."""
     xm = hermitize(x)
     v = as_complex(xi).reshape(-1)
     if v.shape[0] != phi.out_dim:
         raise DimensionError(f"xi has dim {v.shape[0]}, expected {phi.out_dim}")
     branch = _petz_branch("check_vector_jensen", phi, enforce_hypotheses, f=f, xi=v)
-    mean = float((v.conj() @ apply_map(phi, xm) @ v).real)
-    lhs = f(mean)
-    rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)
+    lhs, rhs = _petz_sides(lambda y: np.reshape(v.conj() @ apply_map(phi, y) @ v, (1, 1)), xm, f,
+                           lambda y: float(y[0, 0].real))
     params = _map_params(phi, f, branch)
     inputs = dict(phi=phi, x=xm, f=f, xi=v, tol=tol, enforce_hypotheses=enforce_hypotheses)
     return _one_sided_report("check_vector_jensen", params, lhs, rhs, inputs)
@@ -384,13 +388,11 @@ def _snap_piece(piece: Interval, eigenvalues: np.ndarray, tol: ToleranceConfig) 
     Endpoints that coincide with eigenvalue clusters (exact for degenerate
     images like the zero map) are pushed deterministically off the clusters;
     the shift is a handful of cluster tolerances, far below any scale the
-    sign and pre-order assertions can resolve.
+    sign and pre-order assertions can resolve. The snap is monotone, so the
+    piece stays ordered.
     """
     ctol = _cluster_tol(eigenvalues, tol)
-    lo = snap_away_from_spectrum(piece.lo, eigenvalues, ctol)
-    hi = snap_away_from_spectrum(piece.hi, eigenvalues, ctol)
-    if lo > hi:
-        lo = hi
+    lo, hi = (snap_away_from_spectrum(t, eigenvalues, ctol) for t in (piece.lo, piece.hi))
     return Interval(lo, hi, lo_open=piece.lo_open, hi_open=piece.hi_open)
 
 
@@ -408,19 +410,10 @@ def _snapped_projections(
     w = dec_y.eigenvalues
     ctol = _cluster_tol(w, tol)
     pieces = [p for p in split if p is not None]
-    interior = [p.hi for p in pieces[:-1]]
-    snapped = [-math.inf]
-    for b in interior:
-        s = snap_away_from_spectrum(b, w, ctol)
-        snapped.append(max(s, snapped[-1]))
-    snapped.append(math.inf)
-    rebuilt = [
-        Interval(snapped[i], snapped[i + 1], lo_open=(i == 0), hi_open=True)
-        for i in range(len(snapped) - 1)
-    ]
-    return [
-        spectral_projection(None, piece, tol, decomp=dec_y) for piece in rebuilt
-    ]
+    ends = [-math.inf, *(snap_away_from_spectrum(p.hi, w, ctol) for p in pieces[:-1]), math.inf]
+    return [spectral_projection(None, Interval(lo, hi, lo_open=(i == 0), hi_open=True), tol,
+                                decomp=dec_y)
+            for i, (lo, hi) in enumerate(zip(ends, ends[1:]))]
 
 
 def check_spectral_preorder_lemma(

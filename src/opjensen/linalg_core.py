@@ -31,6 +31,11 @@ if TYPE_CHECKING:
 _MAX_SWEEPS = 100
 _OFF_DIAG_FACTOR = 1e-14
 _HERMITIZE_REJECT = 1e-8
+# The least eig_cluster_tol, 100x the Jacobi stopping factor: below it the
+# eigensolver's rounding splits repeated eigenvalues, and the pre-order lemma
+# and the pinching chain FAIL on that noise (18 of 800 small trials at 1e-15,
+# 99 at 1e-16, none at 1e-14; at 0 a trial resampled until it gave up).
+_MIN_EIG_CLUSTER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,9 @@ class ToleranceConfig:
         for value in (self.atol, self.rtol, self.eig_cluster_tol):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"tolerances must be finite and nonnegative, got {value!r}")
+        if self.eig_cluster_tol < _MIN_EIG_CLUSTER_TOL:
+            raise ValueError(f"eig_cluster_tol must be at least {_MIN_EIG_CLUSTER_TOL!r}, "
+                             f"got {self.eig_cluster_tol!r}")
 
     def bound(self, *values: float) -> float:
         """One-sided pass margin: atol + rtol * max(1, |values|...)."""

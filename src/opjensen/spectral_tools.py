@@ -98,20 +98,21 @@ def spectral_projection(
 def snap_away_from_spectrum(value: float, eigenvalues: np.ndarray, cluster_tol: float) -> float:
     """Move a spectral-window endpoint rightward off eigenvalue clusters.
 
-    Spectral projections reject endpoints within the cluster tolerance of an
-    eigenvalue; this resolves the ambiguity deterministically by pushing the
-    endpoint just past the offending cluster (monotone, so a sorted boundary
-    list stays sorted).
+    Spectral projections reject endpoints within the cluster tolerance c of
+    an eigenvalue; this resolves the ambiguity deterministically: each value
+    in [lo - 3c, hi + 6c) of a cluster [lo, hi], clusters taken in ascending
+    order, moves to hi + 6c. Each such step is non-decreasing, so the whole
+    map is too, and a sorted boundary list stays sorted; the result sits at
+    least 3c from every cluster.
     """
     if not math.isfinite(value) or len(eigenvalues) == 0:
         return value
     w = np.sort(np.asarray(eigenvalues, dtype=float))
     margin = 3.0 * cluster_tol
     for idx in _cluster_eigenvalues(w, cluster_tol):
-        lo_z = float(w[idx[0]]) - margin
-        hi_z = float(w[idx[-1]]) + margin
-        if lo_z <= value <= hi_z:
-            value = hi_z + margin
+        target = float(w[idx[-1]]) + margin + margin
+        if float(w[idx[0]]) - margin <= value < target:
+            value = target
     return value
 
 

@@ -13,6 +13,7 @@ from opjensen import harness_cli
 from opjensen.errors import UsageError
 from opjensen.harness_cli import (
     CampaignConfig,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -817,6 +818,48 @@ def test_cli_replay_refuses_an_a_that_does_not_act_on_the_first_factor(tmp_path,
     rec = _edited_fixture_record(check, ("a",), [[[0.1, 0.0]] * 3] * 3)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "shape (3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["check_cfl", "check_main_tracial"])
+def test_cli_replay_refuses_an_h_that_does_not_act_on_the_space(tmp_path, capsys, check):
+    # the unit density of d2 = 1e300 was built before H's shape was checked:
+    # "Maximum allowed dimension exceeded", a ValueError traceback, exit 1
+    rec = _edited_fixture_record(check, ("d2",), 1e300)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "matrix shape (4, 4) does not match space 2x" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("check", ["check_main_tracial", "check_state_version"])
+def test_cli_replay_an_overflowing_function_is_a_numeric_error(tmp_path, capsys, check):
+    # exp of an eigenvalue near 1e300 ended in an OverflowError traceback, exit 1
+    rec = _fixture_record(check)
+    assert rec["witness"]["inputs"]["function"]["name"] == "exp"
+    rec["witness"]["inputs"]["H"][0][0] = [1e300, 0.0]
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_NUMERIC
+    assert "overflows a float" in capsys.readouterr().err
+
+
+def test_cli_replay_vector_jensen_with_a_mean_outside_the_domain_is_a_usage_error(
+        tmp_path, capsys):
+    # the fixture's zero map gives the mean 0; -log(0) was a ValueError
+    # traceback, exit 1, the code of a violation
+    rec = _edited_fixture_record("check_vector_jensen", ("function",),
+                                 {"name": "neglog", "params": []})
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "outside the domain (0.0, inf) of function 'neglog'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0, 1e-13])
+def test_a_cluster_width_below_1e_12_is_a_usage_error(tmp_path, capsys, width):
+    # both were accepted; at 0 a default-campaign pre-order lemma trial
+    # resampled 64 times and ended as a numeric error
+    with pytest.raises(UsageError, match="eig_cluster_tol must be at least 1e-12"):
+        CampaignConfig.from_dict({"checks": ["check_cfl"],
+                                  "tolerances": {"eig_cluster_tol": width}})
+    rec = _edited_fixture_record("check_petz", ("tol",), [1e-9, 1e-9, width])
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    assert "eig_cluster_tol must be at least 1e-12" in capsys.readouterr().err
 
 
 def test_cli_replay_refuses_a_recorded_pass_that_is_not_a_json_boolean(tmp_path, capsys):

@@ -4,6 +4,7 @@ drive both campaign cell filtering and the guard inside the check."""
 import importlib.util
 import inspect
 import itertools
+import math
 import os
 import pickle
 
@@ -19,6 +20,7 @@ from opjensen.jensen_checks import (
     CHECKS,
     check_cfl,
     check_hansen_pedersen,
+    check_main_tracial,
     check_state_version,
     run_trial,
 )
@@ -77,6 +79,35 @@ def test_state_version_needs_f0_nonpositive_for_a_nonunitary_a(spec, a, h, gap):
     assert exc.value.hypotheses == ("f0_nonpositive_unless_a_unitary",)
     rep = check_state_version(h, a, f, HALF, HALF, SPACE22, enforce_hypotheses=False)
     assert not rep.passed and _close(rep.gap, gap), rep.gap
+
+
+# The numerical hypotheses allow 1e-10 of rounding slack and no more: each
+# refuses a miss of 1e-8.
+def test_cfl_refuses_a_rho_of_trace_1_plus_1e_8():
+    with pytest.raises(HypothesisError) as exc:
+        check_cfl(H, np.diag([0.5, 0.5 + 1e-8]), parse_function_spec("square"), SPACE22)
+    assert exc.value.hypotheses == ("rho_unit_trace",)
+
+
+@pytest.mark.parametrize("branch, hypothesis", [
+    ("normalized", "a_unit_l2_if_normalized"),
+    ("subnormalized", "a_subunit_l2_if_subnormalized"),
+])
+def test_main_tracial_refuses_a_tau1_of_a_star_a_of_1_plus_1e_8(branch, hypothesis):
+    a = math.sqrt((1.0 + 1e-8) / 2.0) * np.eye(2)
+    with pytest.raises(HypothesisError) as exc:
+        check_main_tracial(H, a, parse_function_spec("square"), SPACE22, (1.0, 1.0), branch)
+    assert exc.value.hypotheses == (hypothesis,)
+
+
+@pytest.mark.parametrize("check", [
+    lambda a, f: check_hansen_pedersen(H, a, f, SPACE22),
+    lambda a, f: check_state_version(H, a, f, HALF, HALF, SPACE22),
+], ids=["hansen_pedersen", "state_version"])
+def test_compressions_refuse_an_a_of_norm_1_plus_1e_8(check):
+    with pytest.raises(HypothesisError) as exc:
+        check((1.0 + 1e-8) * np.eye(2), parse_function_spec("square"))
+    assert exc.value.hypotheses == ("a_contraction",)
 
 
 def test_hypothesis_error_names_every_broken_hypothesis():

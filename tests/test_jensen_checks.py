@@ -9,7 +9,7 @@ import pytest
 
 from opjensen import jensen_checks
 from opjensen.convex_catalog import get_function, parse_function_spec
-from opjensen.errors import HypothesisError, UsageError
+from opjensen.errors import DomainError, HypothesisError, UsageError
 from opjensen.intervals import Interval
 from opjensen.jensen_checks import (
     ABLATION_TARGETS,
@@ -412,9 +412,53 @@ def test_vector_jensen_exact_gap():
     assert (rep.lhs, rep.rhs, rep.gap) == (0.0, 1.0, 1.0)
 
 
+def test_vector_jensen_takes_f_of_the_mean_through_the_functional_calculus():
+    # the zero map sends x to 0, outside the domain of -log; f(mean) raised a
+    # bare ValueError, math domain error
+    phi = random_positive_map("zero", 2, 2, rng_stream(1))
+    with pytest.raises(DomainError, match="outside the domain"):
+        check_vector_jensen(phi, np.eye(2), get_function("neglog"), np.array([1.0, 0.0]),
+                            enforce_hypotheses=False)
+
+
 # ---------------------------------------------------------------------------
 # pre-order lemma and pinching chain
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spectrum, domain, window", [
+    ([0.01, 1.0], Interval.greater_than(0.0), (1e-9, 1.0 + 0.05)),
+    ([2.01, 3.0], Interval.greater_than(2.0), (2.0 + 2e-9, 3.0 + 0.05)),
+    ([-1.0, -0.01], Interval(-math.inf, 0.0), (-1.0 - 0.05, -1e-9)),
+    ([0.01, 1.0], Interval.at_least(0.0), (0.0, 1.0 + 0.05)),
+], ids=["open_zero", "open_two", "open_upper", "closed_zero"])
+def test_working_interval_stays_1e_9_relative_inside_an_open_endpoint(spectrum, domain, window):
+    w = working_interval(np.array(spectrum), domain)
+    assert (w.lo, w.hi) == window
+
+
+def test_pinching_chain_runs_on_a_spectrum_near_an_open_endpoint():
+    # the padded window reaches below 0, where 1/t is not defined
+    rep = check_pinching_chain(identity_map(2), np.diag([0.01, 1.0]), get_function("inv"),
+                               BlockAlgebra.single(2))
+    assert rep.passed and rep.params["n_pieces"] == 1
+
+
+def test_preorder_lemma_samples_a_piece_only_inside_the_domain():
+    # a piece reaching past the open endpoint 0 of 1/t is sampled from 1e-9 on
+    piece = Interval.closed(-0.05, 2.0)
+    rep = check_spectral_preorder_lemma(identity_map(2), np.diag([0.5, 1.5]), get_function("inv"),
+                                        piece, BlockAlgebra.single(2))
+    assert rep.passed and rep.params["piece_sign"] == 1
+
+
+def test_preorder_lemma_snaps_at_the_scale_of_the_spectrum():
+    # 1e4 and 1e4 + 1e-7 are one cluster at width 1e-10 * 1e4 = 1e-6, so the
+    # piece end between them moves 6 widths past the cluster
+    piece = Interval.closed(1e4 + 5e-8, 2e4)
+    rep = check_spectral_preorder_lemma(identity_map(2), np.diag([1e4, 1e4 + 1e-7]),
+                                        get_function("square"), piece, BlockAlgebra.single(2))
+    assert rep.passed
+    assert rep.params["piece"] == [pytest.approx(1e4 + 1e-7 + 6e-6, rel=0, abs=1e-9), 2e4]
 
 def test_preorder_lemma_identity_map_trivial():
     rng = rng_stream(76)

@@ -461,3 +461,14 @@ def test_tolerance_config_validation():
     tol = ToleranceConfig()
     assert tol.bound() == tol.atol + tol.rtol
     assert tol.bound(100.0) == tol.atol + tol.rtol * 100.0
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-13])
+def test_tolerance_config_refuses_a_cluster_width_below_1e_12(width):
+    # below 1e-12 the eigensolver's rounding splits repeated eigenvalues: at 0
+    # the pre-order lemma resampled a default-campaign trial until it gave up
+    from opjensen.linalg_core import ToleranceConfig
+
+    with pytest.raises(ValueError, match="eig_cluster_tol must be at least 1e-12"):
+        ToleranceConfig(eig_cluster_tol=width)
+    assert ToleranceConfig(eig_cluster_tol=1e-12).eig_cluster_tol == 1e-12

@@ -85,6 +85,35 @@ def test_snap_away_from_spectrum():
     assert snap_away_from_spectrum(0.5, w, 1e-10) == 0.5
 
 
+def test_snap_away_from_spectrum_is_non_decreasing():
+    # with one eigenvalue at 0 and c = 1e-10 the old rule moved 0 to 6e-10 but
+    # left 4e-10 in place, so a sorted boundary list could come out unsorted
+    c = 1e-10
+    for w in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 5e-10, 1.0])):
+        grid = np.concatenate([np.linspace(-1e-9, 2e-9, 301),
+                               np.linspace(1.0 - 1e-9, 1.0 + 1e-9, 201)])
+        snapped = [snap_away_from_spectrum(float(t), w, c) for t in grid]
+        assert all(a <= b for a, b in zip(snapped, snapped[1:]))
+        assert all(np.min(np.abs(w - s)) >= 3 * c * (1 - 1e-6) for s in snapped)
+    assert snap_away_from_spectrum(4e-10, np.array([0.0]), c) == 3e-10 + 3e-10
+
+
+def test_spectral_projection_clusters_relative_to_the_spectrum_scale():
+    # 1e4 and 1e4 + 1e-7 are one cluster at width 1e-10 * 1e4, and an endpoint
+    # between them is ambiguous
+    with pytest.raises(BoundaryAmbiguityError):
+        spectral_projection(np.diag([1e4, 1e4 + 1e-7]), Interval.greater_than(1e4 + 5e-8))
+
+
+def test_preorder_violation_clusters_relative_to_the_spectrum_scale():
+    # diag(1e4 + 1e-7, 0) and diag(1e4, 0) differ by less than the cluster width
+    # 1e-10 * 1e4, so their counting functions agree on the cluster grid
+    alg = BlockAlgebra.single(2)
+    assert preorder_violation(np.diag([1e4 + 1e-7, 0.0]), np.diag([1e4, 0.0]), alg) is None
+    assert preorder_violation(np.diag([1e4 + 1e-5, 0.0]), np.diag([1e4, 0.0]), alg) == {
+        "s": 1e4 + 5e-6, "block": 0, "count_a": 1, "count_b": 0}
+
+
 def test_jordan_split_diagonal():
     pos, neg = jordan_split(np.diag([3.0, -2.0]))
     assert np.allclose(pos, np.diag([3.0, 0.0]))

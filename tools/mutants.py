@@ -37,6 +37,7 @@ _CHECKS = "src/opjensen/jensen_checks.py"
 _SPECTRAL = "src/opjensen/spectral_tools.py"
 _LINALG = "src/opjensen/linalg_core.py"
 _TENSOR = "src/opjensen/tensor_ops.py"
+_MAPS = "src/opjensen/positive_maps.py"
 
 # (name, module, original text, mutated text)
 MUTANTS = [
@@ -53,9 +54,9 @@ MUTANTS = [
     ("check_cfl uses rho for rho^(1/2)", _CHECKS,
      "_jensen_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space,",
      "_jensen_sides(Hm, rho_m, f, space,"),
-    ("check_vector_jensen lhs = rhs", _CHECKS,
-     "    rhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)",
-     "    rhs = lhs = float((v.conj() @ apply_map(phi, matrix_function(xm, f)) @ v).real)"),
+    ("check_vector_jensen's vector state drops xi's .conj()", _CHECKS,
+     "_petz_sides(lambda y: np.reshape(v.conj() @ apply_map(phi, y) @ v, (1, 1)),",
+     "_petz_sides(lambda y: np.reshape(v @ apply_map(phi, y) @ v, (1, 1)),"),
     ("check_state_version passes I/d1 for rho1", _CHECKS,
      "    lhs, rhs = _jensen_sides(Hm, am, f, space, d1_m, d2_m)",
      "    lhs, rhs = _jensen_sides(Hm, am, f, space, np.eye(space.d1) / space.d1, d2_m)"),
@@ -107,6 +108,21 @@ MUTANTS = [
     ("psd_sqrt takes sqrt|lambda| instead of sqrt max(lambda, 0)", _LINALG,
      "    return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))",
      "    return dec.with_eigenvalues(np.sqrt(np.abs(dec.eigenvalues)))"),
+    ("apply_map's Kraus side computes V^T x conj(V)", _MAPS,
+     "            out += v.conj().T @ xm @ v",
+     "            out += v.T @ xm @ v.conj()"),
+    ("kron swaps its factor order", _LINALG,
+     "    out = a[:, None, :, None] * b[None, :, None, :]",
+     "    out = b[:, None, :, None] * a[None, :, None, :]"),
+    ("_clamp_inside clamps onto an open lower endpoint", _CHECKS,
+     "        lo = max(lo, domain.lo + (1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0))",
+     "        lo = max(lo, domain.lo)"),
+    ("_HYPOTHESIS_SLACK 1e-6 instead of 1e-10", _CHECKS,
+     "_HYPOTHESIS_SLACK = 1e-10",
+     "_HYPOTHESIS_SLACK = 1e-6"),
+    ("_cluster_tol drops the spectrum scale", _SPECTRAL,
+     "    return tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)",
+     "    return tol.eig_cluster_tol"),
 ]
 
 
