@@ -49,7 +49,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,11 +90,9 @@ from .positive_maps import (
     Flags,
     PositiveMap,
     apply_map,
-    decode_map,
-    encode_map,
     random_positive_map,
 )
-from .reporting import JSON_SHAPES, CheckReport, decode_matrix, encode_matrix, read_json
+from .reporting import CheckReport, encode_matrix, read_json
 from .spectral_tools import (
     _cluster_tol,
     jordan_split,
@@ -797,37 +796,55 @@ def _draw_state_version(cell: dict, rng: np.random.Generator) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Witness codec: check argument -> (encode to witness keys, decode from them)
+# Witness codec: check argument -> (encode, decode, JSON shape of its keys)
 # ---------------------------------------------------------------------------
 
-# Arguments not listed here are matrices stored under their own name. Every
-# witness records `tol` and `enforce_hypotheses`; witnesses written before it
-# did decode them to the defaults. A decoder reads inputs that `replay_report`
-# has typed as `reporting.JSON_SHAPES` says.
-_FIELDS: dict[str, tuple[Callable, Callable]] = {
+def _encode_map(phi: PositiveMap) -> dict:
+    ops = ({"kraus": [encode_matrix(v) for v in phi.kraus]} if phi.kraus is not None
+           else {"action": encode_matrix(phi.action)})
+    return {"map": dict(kind=phi.kind, in_dim=phi.in_dim, out_dim=phi.out_dim,
+                        claimed_positive=phi.claimed_positive, **ops)}
+
+
+def _decode_map(d: dict) -> PositiveMap:
+    m = d["map"]
+    return PositiveMap(m["kind"], m["in_dim"], m["out_dim"], m.get("kraus"), m.get("action"),
+                       m["claimed_positive"])
+
+
+# Arguments not listed here are matrices stored under their own name. A
+# decoder reads inputs typed by its check's rows; a key no row declares (such
+# as the map claims old witnesses recorded) is kept unread. Every witness records
+# `tol` and `enforce_hypotheses`; older witnesses decode them to the defaults.
+_FIELDS: dict[str, tuple[Callable, Callable, dict]] = {
     "f": (lambda f: {"function": {"name": f.name, "params": list(f.params)}},
-          lambda d: get_function(d["function"]["name"], tuple(d["function"]["params"]))),
-    "phi": (lambda phi: {"map": encode_map(phi)}, lambda d: decode_map(d["map"])),
-    "space": (lambda s: {"d1": s.d1, "d2": s.d2}, lambda d: TensorSpace(d["d1"], d["d2"])),
-    "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"])),
-    "branch": (lambda b: {"branch": b}, lambda d: d["branch"]),
+          lambda d: get_function(d["function"]["name"], d["function"]["params"]),
+          {"function": {"name": str, "params": list}}),
+    "phi": (_encode_map, _decode_map, {"map": {
+        "kind": str, "in_dim": int, "out_dim": int, "claimed_positive": bool,
+        "kraus": [np.ndarray], "action": np.ndarray}}),
+    "space": (asdict, lambda d: TensorSpace(d["d1"], d["d2"]), {"d1": int, "d2": int}),
+    "weights": (lambda w: {"w1": w[0], "w2": w[1]}, lambda d: (d["w1"], d["w2"]),
+                {"w1": float, "w2": float}),
+    "branch": (lambda b: {"branch": b}, lambda d: d["branch"], {"branch": str}),
     "algebra": (lambda alg: {"algebra": {"block_dims": list(alg.block_dims),
                                          "trace_weights": list(alg.trace_weights)}},
-                lambda d: BlockAlgebra(**d["algebra"])),
-    "piece": (lambda p: {"piece": {"lo": p.lo, "hi": p.hi,
-                                   "lo_open": p.lo_open, "hi_open": p.hi_open}},
-              lambda d: Interval(**d["piece"])),
+                lambda d: BlockAlgebra(**d["algebra"]),
+                {"algebra": {"block_dims": [int], "trace_weights": [float]}}),
+    "piece": (lambda p: {"piece": asdict(p)}, lambda d: Interval(**d["piece"]), {"piece": {
+        "lo": numbers.Real, "hi": numbers.Real, "lo_open": bool, "hi_open": bool}}),
     "tol": (lambda t: {"tol": [t.atol, t.rtol, t.eig_cluster_tol]},
-            lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL),
+            lambda d: ToleranceConfig(*d["tol"]) if "tol" in d else DEFAULT_TOL,
+            {"tol": (numbers.Real,) * 3}),
     "enforce_hypotheses": (lambda e: {"enforce_hypotheses": e},
-                           lambda d: d.get("enforce_hypotheses", True)),
+                           lambda d: d.get("enforce_hypotheses", True),
+                           {"enforce_hypotheses": bool}),
 }
 
 
-def _field(arg: str) -> tuple[Callable, Callable]:
+def _field(arg: str) -> tuple[Callable, Callable, dict]:
     return _FIELDS.get(arg) or (
-        lambda m: {arg: encode_matrix(m)}, lambda d: decode_matrix(d[arg])
-    )
+        lambda m: {arg: encode_matrix(m)}, lambda d: d[arg], {arg: np.ndarray})
 
 
 # ---------------------------------------------------------------------------
@@ -875,14 +892,17 @@ class CheckSpec:
                  "phi_flags": KIND_FLAGS.get(cell.get("map_kind"))}
         return not self.broken({k: v for k, v in facts.items() if v is not None})
 
+    @functools.cached_property
+    def shape(self) -> dict:
+        """The JSON shape of a witness's inputs: the union of its arguments' rows."""
+        return {key: s for arg in self.args for key, s in _field(arg)[2].items()}
+
     def encode(self, inputs: dict) -> dict:
-        out: dict = {}
-        for arg in self.args:
-            out.update(_field(arg)[0](inputs[arg]))
-        return out
+        return {key: v for arg in self.args for key, v in _field(arg)[0](inputs[arg]).items()}
 
     def decode(self, obj: dict) -> dict:
-        return {arg: _field(arg)[1](obj) for arg in self.args}
+        typed = read_json(obj, self.shape, "inputs")
+        return {arg: _field(arg)[1](typed) for arg in self.args}
 
     def run(self, **inputs) -> CheckReport:
         # Through the module attribute, so wrappers installed there see it.
@@ -1084,8 +1104,7 @@ def replay_report(report: CheckReport | dict) -> CheckReport:
         if not rep.witness or "inputs" not in rep.witness:
             raise UsageError("report carries no witness inputs to replay")
         spec = lookup_check(rep.check_name)
-        inputs = spec.decode(read_json(rep.witness["inputs"], JSON_SHAPES["witness inputs"],
-                                       "inputs"))
+        inputs = spec.decode(rep.witness["inputs"])
     except UsageError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,6 @@ from .linalg_core import (
     random_hermitian,
     random_unitary,
 )
-from .reporting import decode_matrix, encode_matrix
 from .tensor_ops import TensorSpace, require_trace_weights
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "transpose_map",
     "slice_compress_map",
     "random_positive_map",
-    "encode_map",
-    "decode_map",
 ]
 
 
@@ -116,29 +113,6 @@ class PositiveMap:
         unital = frob(one_img - np.eye(self.out_dim)) <= _FLAG_TOL
         lam_max = float(hermitian_eigvals(one_img)[-1])
         return unital, lam_max <= 1.0 + _FLAG_TOL
-
-
-_MAP_ATTRS = tuple(f.name for f in fields(PositiveMap) if f.name not in ("kraus", "action"))
-
-
-def encode_map(phi: PositiveMap) -> dict:
-    """A map as a JSON object: its attributes, its Kraus operators or action."""
-    out = {attr: getattr(phi, attr) for attr in _MAP_ATTRS}
-    if phi.kraus is not None:
-        out["kraus"] = [encode_matrix(v) for v in phi.kraus]
-    else:
-        out["action"] = encode_matrix(phi.action)
-    return out
-
-
-def decode_map(obj: dict) -> PositiveMap:
-    """The map `encode_map` wrote, from a witness "map" `read_json` typed."""
-    kwargs = {attr: obj[attr] for attr in _MAP_ATTRS}
-    if "kraus" in obj:
-        kwargs["kraus"] = tuple(decode_matrix(v) for v in obj["kraus"])
-    else:
-        kwargs["action"] = decode_matrix(obj["action"])
-    return PositiveMap(**kwargs)
 
 
 def _vec(x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ matrices as row-major nested arrays of such pairs; failure witnesses carry
 every input needed to replay the trial bit-exactly. A failing report made by
 a check keeps its inputs and encodes them as the witness only when the
 witness is first read or written, and then only once. `read_json` types a
-campaign config, a report and a witness's inputs as `JSON_SHAPES` says.
+campaign config and a report as `JSON_SHAPES` says, and a witness's inputs
+as the rows of `jensen_checks._FIELDS` say.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -26,20 +28,34 @@ def encode_matrix(m: np.ndarray) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def decode_matrix(obj) -> np.ndarray:
-    """A vector or matrix from its nested [re, im] pairs."""
-    arr = np.asarray(obj, dtype=np.float64)
+_PAIRS = "a vector or matrix of [re, im] pairs of numbers"
+
+
+def decode_matrix(obj, name: str = "matrix payload") -> np.ndarray:
+    """A vector or matrix from nested [re, im] pairs of JSON numbers (not bools,
+    strings or nulls); a ValueError names `name`, and a bad entry if there is one."""
+    try:
+        arr = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be {_PAIRS} ({exc})") from None
     if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
-        raise ValueError(f"cannot decode matrix payload of shape {arr.shape}: need [re, im] pairs")
+        raise ValueError(f"{name} must be {_PAIRS}, got a payload of shape {arr.shape}")
+    # The entries' types in one pass at C speed; only a bad one is looked for.
+    entries = list(chain.from_iterable(obj if arr.ndim == 2 else chain.from_iterable(obj)))
+    types = set(map(type, entries))
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        bad = next(v for v in entries if isinstance(v, bool) or not isinstance(v, (int, float)))
+        raise ValueError(f"{name} must be {_PAIRS}, got the entry {bad!r}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-# The JSON shape of every outside input, as `read_json` reads it: `int` is an
-# integral number read as an int (2.0 reads as 2), `float` a number read as a
-# float, `numbers.Real` a number kept as written, `bool` and `str` a JSON
-# boolean and string, `dict` any object; [s] is a list of s, (s, ...) a list
-# of that length, {key: s} an object. A key not listed is read elsewhere: a
-# matrix payload by `decode_matrix`, function parameters by `get_function`.
+# The JSON shape of every outside input, as `read_json` reads it: `int` an
+# integral number read as an int (2.0 reads as 2; a float of magnitude 2**53
+# or more is refused), `float` a number read as a float, `numbers.Real` a
+# number kept as written, `bool`, `str`, `dict` and `list` a JSON boolean,
+# string, object and list, `np.ndarray` a matrix payload read by
+# `decode_matrix`; [s] is a list of s, (s, ...) a list of that length, {key:
+# s} an object. A witness's inputs have the shapes of `jensen_checks._FIELDS`.
 JSON_SHAPES: dict[str, dict] = {
     "config": {
         "checks": [str], "trials": int, "dims": [(int, int)], "functions": [str],
@@ -51,21 +67,13 @@ JSON_SHAPES: dict[str, dict] = {
         "check_name": str, "seed": int, "params": dict, "lhs": float, "rhs": float,
         "gap": float, "tol": float, "pass": bool, "witness": dict,
     },
-    # The keys of `jensen_checks._FIELDS`; every other input is a matrix.
-    "witness inputs": {
-        "function": {"name": str},
-        "map": {"kind": str, "in_dim": int, "out_dim": int, "claimed_positive": bool},
-        "d1": int, "d2": int, "w1": float, "w2": float, "branch": str,
-        "algebra": {"block_dims": [int], "trace_weights": [float]},
-        "piece": {"lo": numbers.Real, "hi": numbers.Real, "lo_open": bool, "hi_open": bool},
-        "tol": (numbers.Real,) * 3,
-        "enforce_hypotheses": bool,
-    },
 }
 
 _NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
           numbers.Real: ("a number", "numbers"), bool: ("a JSON boolean", "JSON booleans"),
-          str: ("a JSON string", "strings"), dict: ("a JSON object", "JSON objects")}
+          str: ("a JSON string", "strings"), dict: ("a JSON object", "JSON objects"),
+          list: ("a JSON list", "JSON lists"),
+          np.ndarray: (_PAIRS, "vectors or matrices of [re, im] pairs of numbers")}
 _WRONG = object()  # what `_converted` returns for a value of the wrong JSON type
 
 
@@ -89,7 +97,7 @@ def read_json(value, shape, name: str, closed: bool = False):
             raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {name}")
         return {key: read_json(v, shape[key], key, closed) if key in shape else v
                 for key, v in value.items()}
-    out = _converted(value, shape)
+    out = _converted(value, shape, name)
     if out is _WRONG:
         # A field of strings is named in quotes, as its value would be.
         label = repr(name) if shape in (str, [str]) else name
@@ -97,23 +105,27 @@ def read_json(value, shape, name: str, closed: bool = False):
     return out
 
 
-def _converted(value, shape):
-    """`value` as the shape of a list or a scalar says, or _WRONG."""
+def _converted(value, shape, name: str):
+    """`value` as the shape of a list or a scalar says, or _WRONG; a matrix
+    payload is read, or refused, by `decode_matrix` under `name`."""
     if isinstance(shape, (list, tuple)):  # a tuple is a list, as json writes it
         if not isinstance(value, (list, tuple)) or (
                 isinstance(shape, tuple) and len(value) != len(shape)):
             return _WRONG
-        items = [_converted(v, s) for v, s in zip(
+        items = [_converted(v, s, name) for v, s in zip(
             value, shape * len(value) if isinstance(shape, list) else shape)]
         if any(item is _WRONG for item in items):
             return _WRONG
         return items if isinstance(shape, list) else tuple(items)
+    if shape is np.ndarray:
+        return decode_matrix(value, name)
     if shape in (int, float, numbers.Real):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                shape is int and isinstance(value, float) and not value.is_integer()):
+                shape is int and isinstance(value, float)
+                and not (value.is_integer() and abs(value) < 2 ** 53)):
             return _WRONG
         return value if shape is numbers.Real else shape(value)
-    return value if isinstance(value, shape) else _WRONG  # bool, str or dict
+    return value if isinstance(value, shape) else _WRONG  # bool, str, dict or list
 
 
 class _EncodedOnRead:
@@ -179,16 +191,9 @@ class CheckReport:
     witness: dict | Callable[[], dict] | None = _EncodedOnRead()
 
     def to_dict(self) -> dict:
-        out = {
-            "check_name": self.check_name,
-            "seed": int(self.seed),
-            "params": self.params,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "gap": float(self.gap),
-            "tol": float(self.tol),
-            "pass": bool(self.passed),
-        }
+        out = {"check_name": self.check_name, "seed": int(self.seed), "params": self.params,
+               "lhs": float(self.lhs), "rhs": float(self.rhs), "gap": float(self.gap),
+               "tol": float(self.tol), "pass": bool(self.passed)}
         if self.witness is not None:
             out["witness"] = self.witness
         return out

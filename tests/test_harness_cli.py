@@ -823,10 +823,52 @@ def test_cli_replay_refuses_an_a_that_does_not_act_on_the_first_factor(tmp_path,
 @pytest.mark.parametrize("check", ["check_cfl", "check_main_tracial"])
 def test_cli_replay_refuses_an_h_that_does_not_act_on_the_space(tmp_path, capsys, check):
     # the unit density of d2 = 1e300 was built before H's shape was checked:
-    # "Maximum allowed dimension exceeded", a ValueError traceback, exit 1
-    rec = _edited_fixture_record(check, ("d2",), 1e300)
+    # "Maximum allowed dimension exceeded", a ValueError traceback, exit 1.
+    # Written as a JSON integer: the float 1e300 is no longer read as one.
+    rec = _edited_fixture_record(check, ("d2",), 10 ** 300)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
     assert "matrix shape (4, 4) does not match space 2x" in capsys.readouterr().err
+
+
+def test_cli_replay_refuses_a_huge_float_dimension_in_a_short_message(tmp_path, capsys):
+    # 1e300 read as the integer 10**300, and the refusal printed all its digits
+    rec = _edited_fixture_record("check_cfl", ("d2",), 1e300)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "d2 must be an integer, got 1e+300" in err and len(err) < 200
+
+
+_MATRIX_ENTRY = "must be a vector or matrix of [re, im] pairs of numbers, got the entry"
+
+
+@pytest.mark.parametrize("check, path", [
+    ("check_cfl", ("H", 0, 0, 0)), ("check_cfl", ("rho", 1, 1, 0)),
+    ("check_petz", ("map", "kraus", 0, 0, 0, 0)), ("check_vector_jensen", ("xi", 0, 1)),
+], ids=["H", "rho", "kraus", "xi"])
+def test_cli_replay_refuses_a_matrix_entry_written_as_a_json_string(tmp_path, capsys, check, path):
+    # numpy parsed the string as the number it spells: "reproduced": true, exit 0
+    entry = _fixture_record(check)["witness"]["inputs"]
+    for key in path:
+        entry = entry[key]
+    rec = _edited_fixture_record(check, path, str(entry))
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    key = next(k for k in path if k != "map")
+    assert f"{key} {_MATRIX_ENTRY} {str(entry)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, path, pair", [
+    ("check_cfl", ("H", 0, 0), [True, 0]),
+    ("check_petz", ("map", "kraus", 0, 1, 1), [False, 0.0]),
+    ("check_spectral_preorder_lemma", ("map", "action", 0, 0), [True, 0.0]),
+], ids=["H", "kraus", "action"])
+def test_cli_replay_refuses_a_matrix_entry_written_as_a_json_boolean(
+        tmp_path, capsys, check, path, pair):
+    # true read as 1.0: the CFL line replayed another matrix, a PASS, exit 1;
+    # the other two replayed the recorded matrix, "reproduced": true, exit 0
+    rec = _edited_fixture_record(check, path, pair)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    key = next(k for k in path if k != "map")
+    assert f"{key} {_MATRIX_ENTRY} {pair[0]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -877,6 +919,13 @@ def test_config_list_keys_must_be_json_lists_of_strings(key, value):
     # a bare string used to be read as its characters: unknown check 'c'
     with pytest.raises(UsageError, match=f"'{key}' must be a JSON list"):
         CampaignConfig.from_dict({"checks": ["check_cfl"], key: value})
+
+
+@pytest.mark.parametrize("key", ["trials", "master_seed"])
+def test_config_refuses_a_huge_float_as_an_integer(key):
+    # 1e300 read as the integer 10**300, a campaign of that many trials
+    with pytest.raises(UsageError, match=f"{key} must be an integer, got 1e\\+300"):
+        CampaignConfig.from_dict({"checks": ["check_cfl"], key: 1e300})
 
 
 def test_cli_config_with_string_checks_exits_usage(tmp_path, capsys):

@@ -10,6 +10,10 @@ from opjensen import jensen_checks
 from opjensen.jensen_checks import CheckSpec, ablation_search, replay_report
 from opjensen.reporting import JSON_SHAPES, CheckReport, decode_matrix, encode_matrix, read_json
 
+# The shape of every witness key a codec row declares; matrices are no row.
+WITNESS_INPUTS = {key: shape for row in jensen_checks._FIELDS.values()
+                  for key, shape in row[2].items()}
+
 
 def _reference_encode(m) -> list:
     """The per-element codec: [re, im] of each entry, as Python floats."""
@@ -43,6 +47,28 @@ def test_encode_matrix_matches_per_element_reference(m):
     # the same values with the same signs, as Python floats
     assert repr(got) == repr(want)
     np.testing.assert_array_equal(decode_matrix(got), np.asarray(m, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("entry", ["0.5", True, False, None], ids=["string", "true", "false", "null"])
+def test_decode_matrix_refuses_an_entry_that_is_not_a_json_number(entry):
+    # numpy read "0.5" as 0.5, true as 1.0 and null as nan
+    for payload in ([[[1.0, 0.0], [entry, 0.0]]], [[0, 1], [2.5, entry]]):
+        with pytest.raises(ValueError) as err:
+            decode_matrix(payload, "H")
+        assert str(err.value) == (
+            f"H must be a vector or matrix of [re, im] pairs of numbers, got the entry {entry!r}")
+    # ints and floats, numpy's float subclass too, are numbers
+    np.testing.assert_array_equal(decode_matrix([[[1, 0], [np.float64(0.5), -2]]]),
+                                  [[1, 0.5 - 2j]])
+
+
+def test_an_integer_shape_refuses_a_float_of_magnitude_2_pow_53():
+    # such a float is no integer written exactly: 1e300 read as 10**300
+    assert read_json(2.0 ** 53 - 1, int, "trials") == 2 ** 53 - 1
+    assert read_json(2 ** 64, int, "seed") == 2 ** 64
+    for value in (2.0 ** 53, -(2.0 ** 53), 1e300):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            read_json(value, int, "trials")
 
 
 @pytest.fixture
@@ -130,7 +156,7 @@ def test_params_write_complex_arrays_and_numpy_scalars():
 def test_read_json_converts_numbers_as_their_shape_says():
     got = read_json({"d1": 2.0, "w1": 1, "tol": [0, 0, 1e-10], "x": [[[1, 0]]],
                      "piece": {"lo": 0, "hi": 1.5, "lo_open": False, "hi_open": True}},
-                    JSON_SHAPES["witness inputs"], "inputs")
+                    WITNESS_INPUTS, "inputs")
     assert got == {"d1": 2, "w1": 1.0, "tol": (0, 0, 1e-10), "x": [[[1, 0]]],
                    "piece": {"lo": 0, "hi": 1.5, "lo_open": False, "hi_open": True}}
     # a dimension as an int, a weight as a float; tol and piece ends as given
@@ -149,7 +175,7 @@ def test_read_json_converts_numbers_as_their_shape_says():
 ])
 def test_read_json_names_the_field_of_the_wrong_json_type(obj, message):
     with pytest.raises(ValueError) as err:
-        read_json(obj, JSON_SHAPES["witness inputs"], "inputs")
+        read_json(obj, WITNESS_INPUTS, "inputs")
     assert str(err.value) == message
 
 

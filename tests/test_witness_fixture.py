@@ -1,4 +1,5 @@
-"""Recorded failure witnesses, one per check, replay and re-encode unchanged.
+"""Recorded failure witnesses, one per check, replay and re-encode unchanged,
+and every witness codec row writes the keys its shape declares.
 
 `data/witnesses.jsonl` holds one failing report line per check. The
 duality line comes from `run_trial("check_partial_trace_duality",
@@ -32,9 +33,11 @@ any rounding:
 import json
 import os
 
+import numpy as np
 import pytest
 
-from opjensen.jensen_checks import CHECKS, replay_report
+from opjensen.jensen_checks import _FIELDS, CHECKS, _field, replay_report
+from opjensen.reporting import read_json
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "witnesses.jsonl")
 with open(FIXTURE, encoding="utf-8") as _fh:
@@ -76,3 +79,30 @@ def test_witness_reencodes_to_same_bytes(line):
     for claim in ("claimed_unital", "claimed_contractive"):
         want["inputs"].get("map", {}).pop(claim, None)
     assert _encoded(got) == _encoded(want)
+
+
+def test_every_check_argument_is_a_matrix_or_a_codec_row_true_to_its_shape():
+    # An argument not in the table is a matrix. On each line a row writes the
+    # keys its shape declares, no other, each of its declared JSON type; over
+    # all lines every row is used, and an object row writes every key it
+    # declares (a map "kraus" or "action").
+    used = set()
+    written: dict[tuple[str, str], set] = {}
+    for line in LINES:
+        rec = json.loads(line)
+        spec = CHECKS[rec["check_name"]]
+        inputs = spec.decode(rec["witness"]["inputs"])
+        for arg in spec.args:
+            if arg not in _FIELDS:
+                assert isinstance(inputs[arg], np.ndarray) and inputs[arg].dtype == complex, arg
+            encode, _, shape = _field(arg)
+            out = encode(inputs[arg])
+            assert out.keys() == shape.keys(), arg
+            read_json(json.loads(json.dumps(out)), shape, arg, closed=True)
+            used.add(arg)
+            for key, s in shape.items():
+                if isinstance(s, dict):
+                    written.setdefault((arg, key), set()).update(out[key])
+    assert used >= set(_FIELDS)
+    for (arg, key), keys in written.items():
+        assert keys == _field(arg)[2][key].keys(), (arg, key)

@@ -38,6 +38,7 @@ _SPECTRAL = "src/opjensen/spectral_tools.py"
 _LINALG = "src/opjensen/linalg_core.py"
 _TENSOR = "src/opjensen/tensor_ops.py"
 _MAPS = "src/opjensen/positive_maps.py"
+_REPORTING = "src/opjensen/reporting.py"
 
 # (name, module, original text, mutated text)
 MUTANTS = [
@@ -123,6 +124,12 @@ MUTANTS = [
     ("_cluster_tol drops the spectrum scale", _SPECTRAL,
      "    return tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)",
      "    return tol.eig_cluster_tol"),
+    ("decode_matrix reads a JSON boolean entry as a number", _REPORTING,
+     "    if bool in types or not all(issubclass(t, (int, float)) for t in types):",
+     "    if not all(issubclass(t, (int, float)) for t in types):"),
+    ("the int shape reads any integral float, 1e300 too", _REPORTING,
+     "                and not (value.is_integer() and abs(value) < 2 ** 53)):",
+     "                and not value.is_integer()):"),
 ]
 
 

@@ -20,6 +20,10 @@ printed lines to show that a change leaves the report bytes as they were:
     every map kind and the weights (1, 1) and (0.3, 2.5), one cell a line.
     It shows that the cells a campaign runs, which the check registry's
     hypotheses filter, are as they were.
+  * the witness fixture: for each line of `tests/data/witnesses.jsonl`, the
+    witness of its replay (its inputs decoded and encoded again by the
+    check's codec rows), written with sorted keys, one line each. A change
+    that moves the witness wire format shows here.
 
 The package is imported from the `src/` directory next to this script.
 LAPACK/BLAS results, and so the digests themselves, are not promised to be
@@ -48,7 +52,12 @@ from opjensen.harness_cli import (  # noqa: E402
     expand_cells,
     run_campaign,
 )
-from opjensen.jensen_checks import ABLATION_TARGETS, CHECKS, ablation_search  # noqa: E402
+from opjensen.jensen_checks import (  # noqa: E402
+    ABLATION_TARGETS,
+    CHECKS,
+    ablation_search,
+    replay_report,
+)
 from opjensen.positive_maps import MAP_KINDS  # noqa: E402
 
 CELL_FUNCTIONS = [
@@ -114,6 +123,13 @@ def _cell_lines() -> str:
                      for name in CHECKS for cell in expand_cells(config, name))
 
 
+def _witness_fixture_lines() -> str:
+    with open(os.path.join(ROOT, "tests", "data", "witnesses.jsonl"), encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return "\n".join(json.dumps(replay_report(rec).witness, sort_keys=True, separators=(",", ":"))
+                     for rec in records)
+
+
 def main() -> int:
     differ = []
     with tempfile.TemporaryDirectory() as out_dir:
@@ -125,6 +141,7 @@ def main() -> int:
         _campaign("cfl_campaign seed=101", _cfl_campaign(), 2, out_dir)
     print(f"ablation_lines {_sha256(_ablation_lines().encode('utf-8'))}")
     print(f"cells {_sha256(_cell_lines().encode('utf-8'))}")
+    print(f"witness_fixture {_sha256(_witness_fixture_lines().encode('utf-8'))}")
     for line in differ:
         print(f"jobs=1 and jobs=2 digests differ: {line}", file=sys.stderr)
     return 1 if differ else 0
