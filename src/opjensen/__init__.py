@@ -38,7 +38,6 @@ from .linalg_core import (
     ToleranceConfig,
     hermitian_eig,
     hermitian_eigvals,
-    kron,
     matrix_function,
     rng_stream,
 )

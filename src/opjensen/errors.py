@@ -58,3 +58,10 @@ class UnknownFunctionError(OpJensenError, KeyError):
 
 class UsageError(OpJensenError, ValueError):
     """Invalid command-line arguments or campaign configuration."""
+
+
+def require_within(name: str, value: int, least: int, most: int, error=UsageError) -> None:
+    """Refuse, as `error` naming `name`, an integer outside least..most, in a short message."""
+    if not least <= value <= most:
+        shown = value if abs(value) < 10 ** 12 else f"an integer of {len(str(abs(value)))} digits"
+        raise error(f"{name} must be from {least} to {most}, got {shown}")

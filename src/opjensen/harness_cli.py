@@ -37,10 +37,12 @@ from .errors import (
     OpJensenError,
     UnknownFunctionError,
     UsageError,
+    require_within,
 )
 from .jensen_checks import (
     BRANCHES,
     CHECKS,
+    MAX_TRIALS,
     ablation_search,
     lookup_check,
     replay_report,
@@ -49,7 +51,7 @@ from .jensen_checks import (
 from .linalg_core import ToleranceConfig
 from .positive_maps import MAP_KINDS
 from .reporting import JSON_SHAPES, CheckReport, read_json
-from .tensor_ops import require_trace_weights
+from .tensor_ops import require_dims, require_trace_weights
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -138,8 +140,7 @@ def expand_cells(config: CampaignConfig, check_name: str) -> list[dict]:
     if not dims:
         raise UsageError("config needs at least one (d1, d2) entry in dims")
     for d1, d2 in dims:
-        if d1 < 1 or d2 < 1:
-            raise UsageError(f"invalid dims ({d1}, {d2})")
+        require_dims(d1=d1, d2=d2)
     for k in config.map_kinds:
         if k not in MAP_KINDS:
             raise UsageError(f"unknown map kind {k!r}; valid kinds: {', '.join(MAP_KINDS)}")
@@ -189,8 +190,7 @@ def build_tasks(config: CampaignConfig) -> list[tuple]:
     """Deterministic, globally indexed task list for the whole campaign."""
     if not config.checks:
         raise UsageError("config lists no checks to run")
-    if config.trials < 1:
-        raise UsageError("trials must be >= 1")
+    require_within("trials", config.trials, 1, MAX_TRIALS)
     tasks = []
     index = 0
     for check_name in config.checks:
@@ -376,8 +376,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    require_within("--trials", args.trials, 1, MAX_TRIALS)
     seed = _env_seed(args.seed, "--seed")
     try:
         tol = ToleranceConfig(atol=args.tol, rtol=args.tol)
@@ -409,8 +408,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    require_within("--trials", args.trials, 1, MAX_TRIALS)
     try:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:

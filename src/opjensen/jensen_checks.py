@@ -62,6 +62,7 @@ from .errors import (
     HypothesisError,
     NumericError,
     UsageError,
+    require_within,
 )
 from .intervals import Interval
 from .linalg_core import (
@@ -74,7 +75,6 @@ from .linalg_core import (
     hermitian_eigvals,
     hermitize,
     matrix_function,
-    opnorm,
     psd_sqrt,
     random_contraction,
     random_density,
@@ -106,6 +106,7 @@ from .tensor_ops import (
     BlockAlgebra,
     TensorSpace,
     conjugate_compress,
+    require_dims,
     require_trace_weights,
     slice_map,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "AblationResult",
     "ABLATION_TARGETS",
     "BRANCHES",
+    "MAX_TRIALS",
     "generate_trial",
     "run_trial",
     "replay_report",
@@ -137,6 +139,7 @@ __all__ = [
 # which hold only up to rounding on generated and replayed inputs.
 _HYPOTHESIS_SLACK = 1e-10
 _MAX_RESAMPLES = 64
+MAX_TRIALS = 100_000  # per check of a campaign or a search; a campaign keeps every report
 # The hypothesis sets of check_main_tracial, the values of its `branch`.
 BRANCHES = ("normalized", "subnormalized")
 
@@ -253,9 +256,7 @@ def check_cfl(
     sides over the unit densities (the plain traces Tr_1, Tr_2), a = rho^(1/2)."""
     Hm = hermitize(H)
     space.reshape4(Hm)  # refuses an H that does not act on the space
-    rho_m = hermitize(rho)
-    if rho_m.shape != (space.d1, space.d1):
-        raise DimensionError(f"rho has shape {rho_m.shape}, expected {space.d1}")
+    rho_m = hermitize(space.operand(rho, 1, "rho"))
     dec = hermitian_eig(rho_m)
     _require("check_cfl", enforce_hypotheses, f=f, rho_spectrum=dec.eigenvalues)
     lhs, rhs = _jensen_sides(Hm, psd_sqrt(rho_m, decomp=dec), f, space,
@@ -285,11 +286,9 @@ def check_main_tracial(
     """
     Hm = hermitize(H)
     space.reshape4(Hm)  # refuses an H that does not act on the space
-    am = as_complex(a)
+    am = space.operand(a, 1, "a")
     w1, w2 = float(weights[0]), float(weights[1])
     require_trace_weights(w1, w2)
-    if am.shape != (space.d1, space.d1):
-        raise DimensionError(f"a has shape {am.shape}, expected ({space.d1}, {space.d1})")
     if branch not in BRANCHES:
         raise UsageError(f"unknown branch {branch!r}; valid branches: {', '.join(BRANCHES)}")
     norm_sq = w1 * float(np.trace(am.conj().T @ am).real)
@@ -579,13 +578,9 @@ def check_state_version(
     of w_1 1, w_2 1.
     """
     Hm = hermitize(H)
-    am = as_complex(a)
-    d1_m = hermitize(rho1)
-    d2_m = hermitize(rho2)
-    for name, dm, dim in (("a", am, space.d1), ("rho1", d1_m, space.d1),
-                          ("rho2", d2_m, space.d2)):
-        if dm.shape != (dim, dim):
-            raise DimensionError(f"{name} has shape {dm.shape}, expected dim {dim}")
+    am = space.operand(a, 1, "a")
+    d1_m = hermitize(space.operand(rho1, 1, "rho1"))
+    d2_m = hermitize(space.operand(rho2, 2, "rho2"))
     _require("check_state_version", enforce_hypotheses, f=f, a=am,
              a_unitary=_is_numerically_unitary(am), tol=tol, rho1=d1_m, rho2=d2_m)
     lhs, rhs = _jensen_sides(Hm, am, f, space, d1_m, d2_m)
@@ -616,7 +611,8 @@ def check_hansen_pedersen(
     is not needed (both sides agree exactly).
     """
     Hm = hermitize(H)
-    am = as_complex(a)
+    space.reshape4(Hm)  # refuses an H that does not act on the space
+    am = space.operand(a, 1, "a")
     unitary = _is_numerically_unitary(am)
     _require("check_hansen_pedersen", enforce_hypotheses, f=f, a=am, a_unitary=unitary, tol=tol)
     fH = matrix_function(Hm, f)
@@ -624,7 +620,7 @@ def check_hansen_pedersen(
     lhs_mat = matrix_function(compressed, f)
     diff = symmetrize(conjugate_compress(fH, am, space)) - lhs_mat
     lam_min = float(hermitian_eigvals(diff)[0])
-    tol_val = tol.bound(opnorm(fH))
+    tol_val = tol.bound(float(np.linalg.norm(fH, 2)))
     passed = lam_min >= -tol_val
     params = {
         "d1": space.d1, "d2": space.d2, "function": f.label,
@@ -655,7 +651,7 @@ _PETZ = dict(
 # a is unitary.
 _COMPRESSION = {
     "f_operator_convex": lambda f: f.is_operator_convex,
-    "a_contraction": lambda a: opnorm(a) <= 1.0 + _HYPOTHESIS_SLACK,
+    "a_contraction": lambda a: np.linalg.norm(a, 2) <= 1.0 + _HYPOTHESIS_SLACK,
     "f0_nonpositive_unless_a_unitary": lambda f, a_unitary, tol: a_unitary or (
         f.defined_at_zero() and f(0.0) <= tol.bound()),
 }
@@ -1068,6 +1064,9 @@ def ablation_search(
     for what, value in (("trials", trials), ("seed", seed)):
         if value < 0:
             raise UsageError(f"{what} must be a non-negative integer, got {value}")
+    require_within("trials", trials, 0, MAX_TRIALS)
+    for n in dims:
+        require_dims(dims=n)
     check_name, _, cell = _ABLATIONS[target]
     worst_gap = math.inf
     worst: CheckReport | None = None

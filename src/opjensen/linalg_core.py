@@ -1,12 +1,12 @@
 """Dense complex matrix arithmetic.
 
 Hermitian eigendecomposition (cyclic complex Jacobi), Hermitian spectra
-(LAPACK, through `np.linalg.eigvalsh`), functional calculus, Kronecker
-products, and seeded random generators for every kind of test object the
-verification campaigns consume. A query that needs only the spectrum uses
-LAPACK; a full decomposition (eigenvectors too) still uses Jacobi. A
-polynomial function (one whose `poly` coefficients are set) is evaluated as
-a matrix polynomial and skips the eigensolver.
+(LAPACK, through `np.linalg.eigvalsh`), functional calculus, and seeded
+random generators for every kind of test object the verification campaigns
+consume. A query that needs only the spectrum uses LAPACK; a full
+decomposition (eigenvectors too) still uses Jacobi. A polynomial function
+(one whose `poly` coefficients are set) is evaluated as a matrix polynomial
+and skips the eigensolver.
 
 Conventions fixed project-wide:
   * the FIRST tensor factor is the slow (outer) index;
@@ -302,23 +302,6 @@ def _fit_to_domain(t: float, f: "ScalarFunction") -> float:
     )
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices with the first factor as the slow
-    (outer) index; the products `np.kron` forms, without its dispatch."""
-    a, b = as_complex(a), as_complex(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def opnorm(m) -> float:
-    """Largest singular value of a matrix (what `np.linalg.norm(m, 2)`
-    computes, without its dispatch)."""
-    a = as_complex(m)
-    return float(np.linalg.svd(a, compute_uv=False).max()) if a.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Seeded random test objects
 # ---------------------------------------------------------------------------
@@ -373,15 +356,20 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = _check_dim(dim)
     g = complex_gaussian(rng, d, d)
     u = rng.uniform()
-    return g / (opnorm(g) * (1.0 + u))
+    return g / (np.linalg.norm(g, 2) * (1.0 + u))
+
+
+def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed isometry (rows >= cols): QR of a Gaussian matrix,
+    diagonal phases fixed."""
+    q, r = np.linalg.qr(complex_gaussian(rng, rows, cols))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Gaussian matrix, diagonal phases fixed."""
     d = _check_dim(dim)
-    q, r = np.linalg.qr(complex_gaussian(rng, d, d))
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    return random_isometry(d, d, rng)
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -399,7 +387,10 @@ def random_l2_normalized(dim: int, rng: np.random.Generator, weight: float = 1.0
 
 
 def psd_sqrt(m, decomp: SpectralDecomposition | None = None) -> np.ndarray:
-    """Positive square root of a positive semidefinite matrix, negative
-    eigenvalues clipped to 0. Passing m's decomposition skips the eigensolve."""
+    """Positive square root of a positive semidefinite matrix; eigenvalues
+    below 1e-14 ||m||_F, the eigensolvers' rounding, count as 0, so the root
+    of that noise (1e-8 of the norm) does not make it depend on the basis of
+    a null space. Passing m's decomposition skips the eigensolve."""
     dec = decomp if decomp is not None else hermitian_eig(m)
-    return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))
+    w = dec.eigenvalues
+    return dec.with_eigenvalues(np.sqrt(np.where(w > 1e-14 * frob(w), w, 0.0)))

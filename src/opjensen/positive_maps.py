@@ -17,14 +17,13 @@ import numpy as np
 from .errors import DimensionError
 from .linalg_core import (
     as_complex,
-    complex_gaussian,
     frob,
     hermitian_eigvals,
-    kron,
     random_hermitian,
+    random_isometry,
     random_unitary,
 )
-from .tensor_ops import TensorSpace, require_trace_weights
+from .tensor_ops import TensorSpace, require_dims, require_trace_weights
 
 __all__ = [
     "PositiveMap",
@@ -82,6 +81,7 @@ class PositiveMap:
     claimed_positive: bool = True
 
     def __post_init__(self) -> None:
+        require_dims(in_dim=self.in_dim, out_dim=self.out_dim)
         if (self.kraus is None) == (self.action is None):
             raise ValueError("exactly one of kraus/action must be provided")
         if self.kraus is not None:
@@ -180,13 +180,11 @@ def slice_compress_map(a, space: TensorSpace, w1: float) -> PositiveMap:
     Completely positive; unital exactly when the weighted trace
     w1 * Tr(a* a) equals 1, contractive when it is <= 1.
     """
-    am = as_complex(a)
-    if am.shape != (space.d1, space.d1):
-        raise DimensionError(f"a has shape {am.shape}, expected ({space.d1}, {space.d1})")
+    am = space.operand(a, 1, "a")
     require_trace_weights(w1)
-    eye2 = np.eye(space.d2)
+    eye2 = np.eye(space.d2, dtype=np.complex128)
     root = np.sqrt(w1)
-    ops = tuple(root * kron(am[:, i:i + 1], eye2) for i in range(space.d1))
+    ops = tuple(root * np.kron(am[:, i:i + 1], eye2) for i in range(space.d1))
     return PositiveMap(kind="slice_compress", in_dim=space.total_dim, out_dim=space.d2, kraus=ops)
 
 
@@ -219,8 +217,7 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
     nonpositive_unital map M_in_dim to itself and ignore `out_dim`; the map's
     `out_dim` is the dimension it maps into.
     """
-    if in_dim < 1 or out_dim < 1:
-        raise DimensionError("map dimensions must be >= 1")
+    require_dims(in_dim=in_dim, out_dim=out_dim)
     if kind == "transpose":
         return transpose_map(in_dim)
     if kind == "zero":
@@ -251,10 +248,7 @@ def random_positive_map(kind: str, in_dim: int, out_dim: int, rng: np.random.Gen
         env = 2
         while in_dim * env < out_dim:
             env += 1
-        g = complex_gaussian(rng, in_dim * env, out_dim)
-        q, r = np.linalg.qr(g)
-        diag = np.diag(r)
-        isometry = q * (diag / np.abs(diag))
+        isometry = random_isometry(in_dim * env, out_dim, rng)
         ops = tuple(
             np.ascontiguousarray(isometry[k::env, :]) for k in range(env)
         )

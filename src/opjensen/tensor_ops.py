@@ -18,16 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
-from .linalg_core import as_complex, kron
+from .errors import DimensionError, UsageError, require_within
+from .linalg_core import as_complex
 
 __all__ = [
+    "MAX_DIM",
     "TensorSpace",
     "BlockAlgebra",
+    "require_dims",
     "require_trace_weights",
     "conjugate_compress",
     "slice_map",
 ]
+
+
+MAX_DIM = 64  # the largest tensor-factor, map or block dimension (64 x 64 acts on C^4096)
+
+
+def require_dims(**dims: int) -> None:
+    """Refuse, as a DimensionError naming it, a dimension outside 1..MAX_DIM."""
+    for name, d in dims.items():
+        require_within(name, d, 1, MAX_DIM, DimensionError)
 
 
 def require_trace_weights(*weights: float) -> None:
@@ -42,8 +53,7 @@ class TensorSpace:
     d2: int
 
     def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
-            raise DimensionError(f"tensor factor dims must be >= 1, got {self.d1}x{self.d2}")
+        require_dims(d1=self.d1, d2=self.d2)
 
     @property
     def total_dim(self) -> int:
@@ -56,6 +66,15 @@ class TensorSpace:
                 f"matrix shape {x.shape} does not match space {self.d1}x{self.d2}"
             )
         return x.reshape(self.d1, self.d2, self.d1, self.d2)
+
+    def operand(self, x, factor: int, name: str) -> np.ndarray:
+        """`x` as a complex matrix acting on tensor factor 1 or 2, which must
+        be d_i x d_i; any other shape is a DimensionError naming `name`."""
+        m = as_complex(x)
+        d = self.d1 if factor == 1 else self.d2
+        if m.shape != (d, d):
+            raise DimensionError(f"{name} has shape {m.shape}, expected ({d}, {d}) on factor {factor}")
+        return m
 
 
 @dataclass(frozen=True)
@@ -72,8 +91,8 @@ class BlockAlgebra:
             raise DimensionError("block_dims and trace_weights must have equal length")
         if not self.block_dims:
             raise DimensionError("a block algebra needs at least one block")
-        if any(d < 1 for d in self.block_dims):
-            raise DimensionError("block dimensions must be >= 1")
+        for d in self.block_dims:
+            require_dims(block_dims=d)
         require_trace_weights(*self.trace_weights)
 
     @classmethod
@@ -105,10 +124,7 @@ def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
     """(a* (x) 1) X (a (x) 1) for a acting on the first factor."""
     xm = as_complex(x)
     space.reshape4(xm)  # refuses a shape that does not match the space
-    am = as_complex(a)
-    if am.shape != (space.d1, space.d1):
-        raise DimensionError(f"factor matrix shape {am.shape} does not match dim {space.d1}")
-    e = kron(am, np.eye(space.d2))
+    e = np.kron(space.operand(a, 1, "a"), np.eye(space.d2, dtype=np.complex128))
     return e.conj().T @ xm @ e
 
 
@@ -129,13 +145,7 @@ def slice_map(x, density, side: str, space: TensorSpace) -> np.ndarray:
     slices.
     """
     t = space.reshape4(as_complex(x))
-    sliced_dim = space.d2 if side == "right" else space.d1
-    dens = as_complex(density)
-    if dens.shape != (sliced_dim, sliced_dim):
-        raise DimensionError(
-            f"density shape {dens.shape} does not match sliced factor dim {sliced_dim}"
-        )
-    dens = dens.conj()
+    dens = space.operand(density, 2 if side == "right" else 1, "density").conj()
     if side == "right":
         return np.einsum("lk,iljk->ij", dens, t)
     if side == "left":

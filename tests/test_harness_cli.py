@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from opjensen import harness_cli
-from opjensen.errors import UsageError
+from opjensen import harness_cli, tensor_ops
+from opjensen.errors import DimensionError, UsageError
 from opjensen.harness_cli import (
     CampaignConfig,
     EXIT_NUMERIC,
@@ -812,12 +812,16 @@ def test_cli_replay_refuses_trace_weights_that_are_not_positive_and_finite(
 
 
 @pytest.mark.parametrize("check", [
-    "check_main_tracial", "check_state_version", "check_hansen_pedersen"])
+    "check_main_tracial", "check_state_version", "check_hansen_pedersen",
+    "check_partial_trace_duality"])
 def test_cli_replay_refuses_an_a_that_does_not_act_on_the_first_factor(tmp_path, capsys, check):
-    # each fixture has d1 = 2; a 3 x 3 a is a dimension error, exit 2
-    rec = _edited_fixture_record(check, ("a",), [[[0.1, 0.0]] * 3] * 3)
-    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
-    assert "shape (3, 3)" in capsys.readouterr().err
+    # each fixture has d1 = 2; a 3 x 3 or a 2 x 3 a is a dimension error, exit 2
+    # (Hansen-Pedersen read a 2 x 3 a before checking it: a ValueError traceback, exit 1)
+    for rows in (3, 2):
+        rec = _edited_fixture_record(check, ("a",), [[[0.1, 0.0]] * 3] * rows)
+        assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"a has shape ({rows}, 3), expected (2, 2) on factor 1" in err and len(err) < 200
 
 
 @pytest.mark.parametrize("check", ["check_cfl", "check_main_tracial"])
@@ -827,7 +831,54 @@ def test_cli_replay_refuses_an_h_that_does_not_act_on_the_space(tmp_path, capsys
     # Written as a JSON integer: the float 1e300 is no longer read as one.
     rec = _edited_fixture_record(check, ("d2",), 10 ** 300)
     assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
-    assert "matrix shape (4, 4) does not match space 2x" in capsys.readouterr().err
+    assert "d2 must be from 1 to 64, got an integer of 301 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, path, value", [
+    ("check_cfl", ("d1",), 65), ("check_main_tracial", ("d2",), 10 ** 300),
+    ("check_partial_trace_duality", ("d2",), 10 ** 300),
+    ("check_hansen_pedersen", ("d2",), 10 ** 300), ("check_state_version", ("d1",), 10 ** 300),
+    ("check_petz", ("map", "in_dim"), 10 ** 300), ("check_petz", ("map", "out_dim"), 65),
+    ("check_petz", ("algebra", "block_dims"), [10 ** 300]),
+], ids=["cfl_d1", "main_tracial_d2", "duality_d2", "hansen_pedersen_d2", "state_d1",
+        "petz_in_dim", "petz_out_dim", "petz_block_dims"])
+def test_cli_replay_refuses_a_dimension_above_the_bound_in_a_short_message(
+        tmp_path, capsys, check, path, value):
+    # without a bound these exited 2 too, but printed every digit of 10**300
+    # (345 to 352 characters)
+    rec = _edited_fixture_record(check, path, value)
+    assert cli_entry(["replay", "--witness", _write(tmp_path, rec)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path[-1]} must be from 1 to 64, got" in err and len(err) < 200
+
+
+def test_campaign_trials_and_dims_are_bounded_before_any_task_is_built(tmp_path):
+    most_trials, most_dim = harness_cli.MAX_TRIALS, tensor_ops.MAX_DIM  # read before any build
+    assert most_trials >= 5000 and most_dim >= 4  # acceptance 01, the largest campaign dims
+    for trials in (most_trials + 1, 10 ** 300):
+        with pytest.raises(UsageError) as err:
+            build_tasks(small_config(tmp_path, trials=trials))
+        assert f"trials must be from 1 to {most_trials}, got" in str(err.value)
+        assert len(str(err.value)) < 200
+    for dims in ([[2, most_dim + 1]], [[10 ** 300, 2]]):
+        with pytest.raises(DimensionError) as err:
+            expand_cells(small_config(tmp_path, dims=dims), "check_cfl")
+        assert f"must be from 1 to {most_dim}, got" in str(err.value)
+        assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "check_cfl", "--trials", str(10 ** 300)],
+    ["check", "--name", "check_cfl", "--d2", str(10 ** 300)],
+    ["search", "--target", "petz_drop_f0", "--trials", str(10 ** 300)],
+    ["search", "--target", "petz_drop_f0", "--dims", f"2,{10 ** 300}"],
+], ids=["check_trials", "check_d2", "search_trials", "search_dims"])
+def test_cli_refuses_counts_above_the_bounds_before_any_trial(capsys, argv):
+    # read the bounds first: without them the flags would start a run of that size
+    assert harness_cli.MAX_TRIALS and tensor_ops.MAX_DIM
+    assert cli_entry(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be from 1 to" in err and len(err) < 200
 
 
 def test_cli_replay_refuses_a_huge_float_dimension_in_a_short_message(tmp_path, capsys):

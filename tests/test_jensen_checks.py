@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from opjensen import jensen_checks
+from opjensen import jensen_checks, tensor_ops
 from opjensen.convex_catalog import get_function, parse_function_spec
-from opjensen.errors import DomainError, HypothesisError, UsageError
+from opjensen.errors import DimensionError, DomainError, HypothesisError, UsageError
 from opjensen.intervals import Interval
 from opjensen.jensen_checks import (
     ABLATION_TARGETS,
@@ -35,7 +35,6 @@ from opjensen.linalg_core import (
     complex_gaussian,
     frob,
     hermitian_eig,
-    kron,
     psd_sqrt,
     random_density,
     random_hermitian,
@@ -55,7 +54,7 @@ from opjensen.positive_maps import (
 )
 from opjensen.reporting import CheckReport
 from opjensen.spectral_tools import monotone_sign_split
-from opjensen.tensor_ops import BlockAlgebra, TensorSpace
+from opjensen.tensor_ops import BlockAlgebra, TensorSpace, conjugate_compress, slice_map
 
 SPACE22 = TensorSpace(2, 2)
 SPACE23 = TensorSpace(2, 3)
@@ -102,7 +101,7 @@ def test_cfl_unitary_covariance():
     f = get_function("quartic")
     base = check_cfl(h, rho, f, SPACE22)
     rotated = check_cfl(
-        kron(u1, u2) @ h @ kron(u1, u2).conj().T,
+        np.kron(u1, u2) @ h @ np.kron(u1, u2).conj().T,
         u1 @ rho @ u1.conj().T, f, SPACE22,
     )
     assert abs(base.lhs - rotated.lhs) <= 1e-10 * max(1.0, abs(base.lhs))
@@ -806,7 +805,7 @@ def test_duality_elementary_tensor():
     a = complex_gaussian(rng, 2, 2)
     space = TensorSpace(2, 3)
     w1, w2 = 0.3, 2.5
-    rep = check_partial_trace_duality(kron(a_fac, b_fac), a, space, (w1, w2))
+    rep = check_partial_trace_duality(np.kron(a_fac, b_fac), a, space, (w1, w2))
     assert rep.passed
     expected = w1 * np.trace(a.conj().T @ a_fac @ a) * w2 * np.trace(b_fac)
     assert abs(complex(*_as_pair(rep.params["lhs_value"])) - expected) <= 1e-10 * max(1.0, abs(expected))
@@ -859,7 +858,7 @@ def test_state_version_first_factor_hamiltonian_exact_sides():
     # H = A x 1 and a = 1 give lhs = Tr(rho1 A)^2 and rhs = Tr(rho1 A^2), by
     # hand: (0.8 + 0.6)^2 = 1.96 and 0.8 + 1.8 = 2.6; rho2 drops out.
     space = SPACE23
-    h = kron(np.diag([1.0, 3.0]), np.eye(3))
+    h = np.kron(np.diag([1.0, 3.0]), np.eye(3))
     rep = check_state_version(h, np.eye(2), get_function("square"), np.diag([0.8, 0.2]),
                               np.diag([0.2, 0.3, 0.5]), space)
     assert rep.lhs == pytest.approx(1.96, rel=1e-14)
@@ -1033,6 +1032,38 @@ def test_hansen_pedersen_rejects_positive_f0_contraction():
         check_hansen_pedersen(random_hermitian(4, rng), a, get_function("inv"), SPACE22)
 
 
+_H6, _RHO2, _RHO3 = random_hermitian(6, rng_stream(98)), np.eye(2) / 2, np.eye(3) / 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_cfl(_H6, _RHO3, get_function("square"), SPACE23), "rho has shape (3, 3)"),
+    (lambda: check_main_tracial(_H6, np.ones((2, 3)), get_function("square"), SPACE23,
+                                (1.0, 1.0), "normalized"), "a has shape (2, 3)"),
+    (lambda: check_state_version(_H6, np.eye(2), get_function("square"), _RHO2, _RHO2,
+                                 SPACE23), "rho2 has shape (2, 2), expected (3, 3) on factor 2"),
+    (lambda: check_state_version(_H6, np.eye(2), get_function("square"), _RHO3, _RHO3,
+                                 SPACE23), "rho1 has shape (3, 3), expected (2, 2) on factor 1"),
+    # a 2 x 3 a reached _is_numerically_unitary first: a numpy broadcast ValueError
+    (lambda: check_hansen_pedersen(_H6, np.ones((2, 3)), get_function("square"), SPACE23),
+     "a has shape (2, 3), expected (2, 2) on factor 1"),
+    (lambda: check_partial_trace_duality(_H6, np.eye(3), SPACE23, (1.0, 1.0)),
+     "a has shape (3, 3)"),
+    (lambda: slice_compress_map(np.ones((3, 2)), SPACE23, 1.0), "a has shape (3, 2)"),
+    (lambda: conjugate_compress(_H6, np.ones((2, 3)), SPACE23),
+     "a has shape (2, 3), expected (2, 2) on factor 1"),
+    (lambda: slice_map(_H6, _RHO2, "right", SPACE23),
+     "density has shape (2, 2), expected (3, 3) on factor 2"),
+    (lambda: slice_map(_H6, _RHO3, "left", SPACE23),
+     "density has shape (3, 3), expected (2, 2) on factor 1"),
+], ids=["cfl_rho", "main_tracial_a", "state_rho2", "state_rho1", "hansen_pedersen_a",
+        "duality_a", "slice_compress_a", "conjugate_compress_a", "right_slice_density",
+        "left_slice_density"])
+def test_every_tensor_factor_operand_is_refused_by_the_one_shape_rule(call, message):
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert message in str(err.value) and "on factor" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # equality at linear f across the one-sided checks
 # ---------------------------------------------------------------------------
@@ -1098,7 +1129,7 @@ def test_second_factor_only_equality(check, fname):
     # is K, and both sides are the second trace or state of f(K)
     rng = rng_stream(98)
     k = random_hermitian(3, rng)
-    h = kron(np.eye(2), k @ k + np.eye(3))  # positive spectrum, inside inv's domain
+    h = np.kron(np.eye(2), k @ k + np.eye(3))  # positive spectrum, inside inv's domain
     _assert_equality(_EQUALITY_CHECKS[check](get_function(fname), h, rng))
 
 
@@ -1193,6 +1224,16 @@ def test_ablation_negative_trials_is_usage_error_before_any_trial(check_runs):
     assert check_runs == []
     res = ablation_search("petz_drop_f0", 0, [2], 1)
     assert res.trials == 0 and math.isnan(res.max_violation) and res.witness is None
+
+
+def test_ablation_dims_are_bounded_before_any_trial(check_runs):
+    bound = tensor_ops.MAX_DIM
+    for dims in ([2, bound + 1], [2, 10 ** 300], [0]):
+        with pytest.raises(DimensionError, match=f"dims must be from 1 to {bound}, got"):
+            ablation_search("petz_drop_f0", 2, dims, 1)
+    with pytest.raises(UsageError, match=f"trials must be from 0 to {jensen_checks.MAX_TRIALS}"):
+        ablation_search("petz_drop_f0", 10 ** 300, [2], 1)
+    assert check_runs == []
 
 
 def test_ablation_unknown_target_is_usage_error():

@@ -1,4 +1,4 @@
-"""Eigensolver, functional calculus, Kronecker products, random generators."""
+"""Eigensolver, functional calculus, random generators."""
 
 import math
 
@@ -16,9 +16,7 @@ from opjensen.linalg_core import (
     frob,
     hermitian_eig,
     hermitian_eigvals,
-    kron,
     matrix_function,
-    opnorm,
     psd_sqrt,
     random_contraction,
     random_density,
@@ -29,6 +27,7 @@ from opjensen.linalg_core import (
     rng_stream,
     stream_token,
 )
+from opjensen.spectral_tools import jordan_split, spectral_projection
 
 
 def cubic_roots(b, c, d):
@@ -248,6 +247,40 @@ def test_psd_sqrt_clips_negative_eigenvalues_to_zero(eigenvalues, root):
     assert np.array_equal(psd_sqrt(np.diag(eigenvalues)), np.diag(root))
 
 
+def _close_rel(got, ref, scale=0.0):
+    return frob(got - ref) <= 1e-12 * max(frob(ref), scale, 1e-300)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_degenerate_spectra_do_not_depend_on_the_eigenbasis(scale):
+    # Each quantity equals the one formed on LAPACK eigh's eigenbasis, which
+    # spans a repeated or null eigenspace in another basis than Jacobi's.
+    functions = [get_function("abs"), get_function("hinge", (0.0,))]
+    square = get_function("square")
+    for m in [scale * c for c in _eigvals_cases()]:
+        w, v = np.linalg.eigh(linalg_core.hermitize(m))
+        other = SpectralDecomposition(w, v)
+        for f in functions:
+            assert _close_rel(matrix_function(m, f), matrix_function(m, f, decomp=other))
+        assert _close_rel(matrix_function(m, square, decomp=hermitian_eig(m)),
+                          matrix_function(m, square, decomp=other))
+        assert _close_rel(psd_sqrt(m), psd_sqrt(m, decomp=other))
+        for got, ref in zip(jordan_split(m), (other.with_eigenvalues(np.clip(w, 0.0, None)),
+                                              other.with_eigenvalues(np.clip(-w, 0.0, None)))):
+            assert _close_rel(got, ref, frob(m))  # pos - neg = m sets their scale
+        # the largest cluster of eigenvalues, cut out by midpoints to its neighbours
+        ctol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+        cluster = max(np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > ctol) + 1), key=len)
+        if len(cluster) < 2:
+            continue
+        first, last, reach = cluster[0], cluster[-1], 1.0 + float(np.max(np.abs(w)))
+        lo = (w[first - 1] + w[first]) / 2 if first > 0 else w[0] - reach
+        hi = (w[last] + w[last + 1]) / 2 if last + 1 < len(w) else w[-1] + reach
+        p = spectral_projection(m, Interval(lo, hi))
+        assert _close_rel(p, spectral_projection(m, Interval(lo, hi), decomp=other))
+        assert abs(np.trace(p).real - len(cluster)) <= 1e-12 * len(cluster)
+
+
 # Catalog functions with coefficients, several parameters each.
 _POLY_SPECS = (
     "square", "quartic", "shifted_square:-1", "shifted_square:2.5",
@@ -344,24 +377,6 @@ def test_frob_bitwise_equal_to_numpy_norm(m):
     assert frob(m) == float(np.linalg.norm(m))
 
 
-@pytest.mark.parametrize("a,b", [
-    (_G[:2, :3], _G[2:, 3:]),
-    (-_G[:3, :1], np.eye(2)),
-    (np.eye(3), _G.T[:2, :2]),
-    (np.arange(4.0).reshape(2, 2), -np.ones((1, 3))),
-])
-def test_kron_and_opnorm_bitwise_equal_to_numpy(a, b):
-    k = kron(a, b)
-    ref = np.kron(a.astype(complex), b.astype(complex))
-    assert k.shape == ref.shape and k.tobytes() == ref.tobytes()
-    assert opnorm(k) == float(np.linalg.norm(k, 2))
-
-
-def test_kron_rejects_vectors():
-    with pytest.raises(DimensionError):
-        kron(np.ones(2), np.eye(2))
-
-
 @pytest.mark.parametrize("bad", [
     complex(x, 0.0) for x in (math.nan, math.inf, -math.inf)
 ] + [complex(0.0, x) for x in (math.nan, math.inf, -math.inf)])
@@ -379,29 +394,6 @@ def test_random_stream_matches_rng_stream_and_token(entropy):
     assert token == stream_token(*entropy)
     assert np.array_equal(rng.standard_normal(16), ref.standard_normal(16))
     assert rng.integers(1 << 62) == ref.integers(1 << 62)
-
-
-def test_kron_diagonal_examples():
-    assert np.allclose(kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0]))
-    assert np.allclose(kron(np.eye(2), np.diag([1.0, 2.0])), np.diag([1.0, 2.0, 1.0, 2.0]))
-
-
-def test_kron_trace_identity():
-    rng = rng_stream(7)
-    a = random_hermitian(3, rng)
-    b = random_hermitian(3, rng)
-    assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
-
-
-def test_kron_mixed_product_and_associativity():
-    rng = rng_stream(31)
-    a, c = (random_hermitian(2, rng) for _ in range(2))
-    b, d = (random_hermitian(3, rng) for _ in range(2))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert frob(lhs - rhs) <= 1e-12 * max(1.0, frob(rhs))
-    e = random_hermitian(2, rng)
-    assert np.allclose(kron(kron(a, b), e), kron(a, kron(b, e)))
 
 
 def test_random_density_properties():

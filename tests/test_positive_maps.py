@@ -11,7 +11,6 @@ from opjensen.linalg_core import (
     frob,
     hermitian_eig,
     hermitian_eigvals,
-    kron,
     random_hermitian,
     random_l2_normalized,
     rng_stream,
@@ -99,7 +98,7 @@ def test_slice_compress_elementary_tensor():
     big_b = random_hermitian(3, rng)
     w1 = 1.7
     phi = slice_compress_map(a, space, w1)
-    out = apply_map(phi, kron(big_a, big_b))
+    out = apply_map(phi, np.kron(big_a, big_b))
     expected = w1 * np.trace(a.conj().T @ big_a @ a) * big_b
     assert frob(out - expected) <= 1e-11 * max(1.0, frob(expected))
 

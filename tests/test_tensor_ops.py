@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from opjensen import tensor_ops
 from opjensen.errors import DimensionError, UsageError
 from opjensen.linalg_core import (
     complex_gaussian,
     frob,
     hermitian_eig,
-    kron,
     random_density,
     random_hermitian,
     rng_stream,
@@ -48,6 +48,18 @@ def test_factor_dimension_mismatch():
             slice_map(np.eye(6), density, side, SPACE23)
 
 
+def test_dimensions_are_bounded_in_a_short_message():
+    bound = tensor_ops.MAX_DIM
+    assert TensorSpace(bound, bound).total_dim == bound * bound  # builds no matrix
+    for bad, shown in ((0, "0"), (bound + 1, str(bound + 1)),
+                       (10 ** 300, "an integer of 301 digits")):
+        for make in (lambda d: TensorSpace(2, d), lambda d: BlockAlgebra((2, d), (1.0, 1.0))):
+            with pytest.raises(DimensionError) as err:
+                make(bad)
+            assert str(err.value).endswith(f"must be from 1 to {bound}, got {shown}")
+            assert len(str(err.value)) < 200
+
+
 def test_conjugate_compress_identity_and_zero():
     x = random_hermitian(4, rng_stream(4))
     assert np.allclose(conjugate_compress(x, np.eye(2), SPACE22), x)
@@ -59,8 +71,8 @@ def test_conjugate_compress_elementary_tensor():
     a = complex_gaussian(rng, 2, 2)
     big_a = complex_gaussian(rng, 2, 2)
     big_b = complex_gaussian(rng, 2, 2)
-    out = conjugate_compress(kron(big_a, big_b), a, SPACE22)
-    assert np.allclose(out, kron(a.conj().T @ big_a @ a, big_b))
+    out = conjugate_compress(np.kron(big_a, big_b), a, SPACE22)
+    assert np.allclose(out, np.kron(a.conj().T @ big_a @ a, big_b))
 
 
 def test_conjugate_compress_keeps_hermitian():
@@ -75,7 +87,7 @@ def test_partial_trace_elementary_tensor():
     rng = rng_stream(21)
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    out = slice_map(kron(a, b), np.eye(3), "right", SPACE23)
+    out = slice_map(np.kron(a, b), np.eye(3), "right", SPACE23)
     assert np.allclose(out, a * np.trace(b))
 
 
@@ -116,8 +128,8 @@ def test_partial_trace_duality_with_embeddings():
     x = complex_gaussian(rng, 6, 6)
     y = complex_gaussian(rng, 3, 3)
     w1, w2 = 0.4, 1.7
-    lhs = w2 * np.trace(slice_map(x @ kron(np.eye(2), y), w1 * np.eye(2), "left", SPACE23))
-    rhs = w1 * w2 * np.trace(x @ kron(np.eye(2), y))
+    lhs = w2 * np.trace(slice_map(x @ np.kron(np.eye(2), y), w1 * np.eye(2), "left", SPACE23))
+    rhs = w1 * w2 * np.trace(x @ np.kron(np.eye(2), y))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -125,7 +137,7 @@ def test_slice_normalized_trace():
     rng = rng_stream(15)
     a = complex_gaussian(rng, 2, 2)
     b = complex_gaussian(rng, 3, 3)
-    out = slice_map(kron(a, b), np.eye(3) / 3.0, "right", SPACE23)
+    out = slice_map(np.kron(a, b), np.eye(3) / 3.0, "right", SPACE23)
     assert np.allclose(out, a * np.trace(b) / 3.0)
 
 
@@ -135,7 +147,7 @@ def test_slice_bimodule_identity():
     a = complex_gaussian(rng, 2, 2)
     b = complex_gaussian(rng, 2, 2)
     rho = random_density(2, rng)
-    lhs = slice_map(kron(a, np.eye(2)) @ x @ kron(b, np.eye(2)), rho, "right", SPACE22)
+    lhs = slice_map(np.kron(a, np.eye(2)) @ x @ np.kron(b, np.eye(2)), rho, "right", SPACE22)
     rhs = a @ slice_map(x, rho, "right", SPACE22) @ b
     assert frob(lhs - rhs) <= 1e-10 * max(1.0, frob(rhs))
 

@@ -95,8 +95,8 @@ MUTANTS = [
      "            total += w * np.trace(blk)",
      "            total += np.trace(blk)"),
     ("slice_map slices against D^T (drops .conj())", _TENSOR,
-     "    dens = dens.conj()",
-     "    dens = dens"),
+     '    dens = space.operand(density, 2 if side == "right" else 1, "density").conj()',
+     '    dens = space.operand(density, 2 if side == "right" else 1, "density")'),
     ("conjugate_compress forms a X a* for a* X a", _TENSOR,
      "    return e.conj().T @ xm @ e",
      "    return e @ xm @ e.conj().T"),
@@ -107,14 +107,14 @@ MUTANTS = [
      "            if abs(t - endpoint) <= 1e-12 * max(1.0, abs(endpoint)):",
      "            if abs(t - endpoint) <= 1e-6 * max(1.0, abs(endpoint)):"),
     ("psd_sqrt takes sqrt|lambda| instead of sqrt max(lambda, 0)", _LINALG,
-     "    return dec.with_eigenvalues(np.sqrt(np.clip(dec.eigenvalues, 0.0, None)))",
-     "    return dec.with_eigenvalues(np.sqrt(np.abs(dec.eigenvalues)))"),
+     "    return dec.with_eigenvalues(np.sqrt(np.where(w > 1e-14 * frob(w), w, 0.0)))",
+     "    return dec.with_eigenvalues(np.sqrt(np.abs(w)))"),
     ("apply_map's Kraus side computes V^T x conj(V)", _MAPS,
      "            out += v.conj().T @ xm @ v",
      "            out += v.T @ xm @ v.conj()"),
-    ("kron swaps its factor order", _LINALG,
-     "    out = a[:, None, :, None] * b[None, :, None, :]",
-     "    out = b[:, None, :, None] * a[None, :, None, :]"),
+    ("conjugate_compress lifts a to 1 (x) a instead of a (x) 1", _TENSOR,
+     '    e = np.kron(space.operand(a, 1, "a"), np.eye(space.d2, dtype=np.complex128))',
+     '    e = np.kron(np.eye(space.d2, dtype=np.complex128), space.operand(a, 1, "a"))'),
     ("_clamp_inside clamps onto an open lower endpoint", _CHECKS,
      "        lo = max(lo, domain.lo + (1e-9 * max(1.0, abs(domain.lo)) if domain.lo_open else 0.0))",
      "        lo = max(lo, domain.lo)"),
@@ -127,6 +127,12 @@ MUTANTS = [
     ("decode_matrix reads a JSON boolean entry as a number", _REPORTING,
      "    if bool in types or not all(issubclass(t, (int, float)) for t in types):",
      "    if not all(issubclass(t, (int, float)) for t in types):"),
+    ("the one shape rule checks d1 where it should check d2", _TENSOR,
+     "        d = self.d1 if factor == 1 else self.d2",
+     "        d = self.d1"),
+    ("MAX_DIM ten times too large", _TENSOR,
+     "MAX_DIM = 64  #",
+     "MAX_DIM = 640  #"),
     ("the int shape reads any integral float, 1e300 too", _REPORTING,
      "                and not (value.is_integer() and abs(value) < 2 ** 53)):",
      "                and not value.is_integer()):"),
