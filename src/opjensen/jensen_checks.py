@@ -58,7 +58,6 @@ import numpy as np
 from .convex_catalog import ScalarFunction, get_function
 from .errors import (
     BoundaryAmbiguityError,
-    DimensionError,
     HypothesisError,
     NumericError,
     UsageError,
@@ -83,6 +82,7 @@ from .linalg_core import (
     random_stream,
     random_unit_vector,
     random_unitary,
+    require_shape,
     symmetrize,
 )
 from .positive_maps import (
@@ -254,8 +254,7 @@ def check_cfl(
 ) -> CheckReport:
     """Density-matrix partial-trace Jensen inequality on H_1 (x) H_2: the
     sides over the unit densities (the plain traces Tr_1, Tr_2), a = rho^(1/2)."""
-    Hm = hermitize(H)
-    space.reshape4(Hm)  # refuses an H that does not act on the space
+    Hm = hermitize(space.operand(H, 0, "H"))
     rho_m = hermitize(space.operand(rho, 1, "rho"))
     dec = hermitian_eig(rho_m)
     _require("check_cfl", enforce_hypotheses, f=f, rho_spectrum=dec.eigenvalues)
@@ -284,8 +283,7 @@ def check_main_tracial(
     branch='normalized' requires tau_1(a* a) = 1; branch='subnormalized'
     requires tau_1(a* a) <= 1 and f(0) = 0.
     """
-    Hm = hermitize(H)
-    space.reshape4(Hm)  # refuses an H that does not act on the space
+    Hm = hermitize(space.operand(H, 0, "H"))
     am = space.operand(a, 1, "a")
     w1, w2 = float(weights[0]), float(weights[1])
     require_trace_weights(w1, w2)
@@ -348,9 +346,7 @@ def check_vector_jensen(
     Petz-type sides of the map y -> <Phi(y) xi, xi> into M_1 (unital when Phi
     is) and omega its one entry."""
     xm = hermitize(x)
-    v = as_complex(xi).reshape(-1)
-    if v.shape[0] != phi.out_dim:
-        raise DimensionError(f"xi has dim {v.shape[0]}, expected {phi.out_dim}")
+    v = require_shape(as_complex(xi).reshape(-1), (phi.out_dim,), "xi")
     branch = _petz_branch("check_vector_jensen", phi, enforce_hypotheses, f=f, xi=v)
     lhs, rhs = _petz_sides(lambda y: np.reshape(v.conj() @ apply_map(phi, y) @ v, (1, 1)), xm, f,
                            lambda y: float(y[0, 0].real))
@@ -538,8 +534,8 @@ def check_partial_trace_duality(
     report stores the absolute discrepancy in lhs (rhs = 0) and the two
     complex values in params.
     """
-    Xm = as_complex(X)
-    am = as_complex(a)
+    Xm = space.operand(X, 0, "X")
+    am = space.operand(a, 1, "a")
     w1, w2 = float(weights[0]), float(weights[1])
     require_trace_weights(w1, w2)
     pt1 = w1 * slice_map(conjugate_compress(Xm, am, space), np.eye(space.d1), "left", space)
@@ -577,7 +573,7 @@ def check_state_version(
     the sides of the tracial forms taken over the densities D_1, D_2 in place
     of w_1 1, w_2 1.
     """
-    Hm = hermitize(H)
+    Hm = hermitize(space.operand(H, 0, "H"))
     am = space.operand(a, 1, "a")
     d1_m = hermitize(space.operand(rho1, 1, "rho1"))
     d2_m = hermitize(space.operand(rho2, 2, "rho2"))
@@ -610,8 +606,7 @@ def check_hansen_pedersen(
     a unitary a the compression is a *-isomorphism and the condition on f(0)
     is not needed (both sides agree exactly).
     """
-    Hm = hermitize(H)
-    space.reshape4(Hm)  # refuses an H that does not act on the space
+    Hm = hermitize(space.operand(H, 0, "H"))
     am = space.operand(a, 1, "a")
     unitary = _is_numerically_unitary(am)
     _require("check_hansen_pedersen", enforce_hypotheses, f=f, a=am, a_unitary=unitary, tol=tol)

@@ -18,12 +18,13 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonHermitianError, NumericError
+from .errors import DimensionError, DomainError, NonHermitianError, NumericError, require_within
 
 if TYPE_CHECKING:
     from .convex_catalog import ScalarFunction
@@ -36,6 +37,7 @@ _HERMITIZE_REJECT = 1e-8
 # and the pinching chain FAIL on that noise (18 of 800 small trials at 1e-15,
 # 99 at 1e-16, none at 1e-14; at 0 a trial resampled until it gave up).
 _MIN_EIG_CLUSTER_TOL = 1e-12
+MAX_DIM = 64  # the largest tensor-factor, map or block dimension (64 x 64 acts on C^4096)
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,23 @@ def require_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def require_shape(m: np.ndarray, shape: tuple[int, ...], name: str, where: str = "") -> np.ndarray:
+    """`m`, or a DimensionError naming `name` when its shape is not `shape`;
+    `where` says what the shape belongs to (" on factor 1", say)."""
+    if m.shape != shape:
+        raise DimensionError(f"{name} has shape {m.shape}, expected {shape}{where}")
+    return m
+
+
+def require_dims(most: int = MAX_DIM, /, **dims: int) -> None:
+    """Refuse, as a DimensionError naming it, a dimension that is not an
+    integer from 1 to `most` (MAX_DIM unless given); a bool is not one."""
+    for name, d in dims.items():
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise DimensionError(f"{name} must be from 1 to {most}, got {d!r:.40}")
+        require_within(name, d, 1, most, DimensionError)
 
 
 def frob(m: np.ndarray) -> float:
@@ -303,7 +322,8 @@ def _fit_to_domain(t: float, f: "ScalarFunction") -> float:
 
 
 # ---------------------------------------------------------------------------
-# Seeded random test objects
+# Seeded random test objects; a generator's dim is at most MAX_DIM ** 2, the
+# dimension of the largest tensor-product space
 # ---------------------------------------------------------------------------
 
 def rng_stream(*entropy: int) -> np.random.Generator:
@@ -327,34 +347,28 @@ def random_stream(*entropy: int) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(ss), int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_dim(dim: int) -> int:
-    if int(dim) < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
-    return int(dim)
-
-
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     shape = (rows,) if cols is None else (rows, cols)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    d = _check_dim(dim)
-    g = complex_gaussian(rng, d, d)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    g = complex_gaussian(rng, dim, dim)
     return 0.5 * (g + g.conj().T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    d = _check_dim(dim)
-    g = complex_gaussian(rng, d, d)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    g = complex_gaussian(rng, dim, dim)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
 def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Strict contraction: Gaussian matrix scaled to operator norm 1/(1+u)."""
-    d = _check_dim(dim)
-    g = complex_gaussian(rng, d, d)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    g = complex_gaussian(rng, dim, dim)
     u = rng.uniform()
     return g / (np.linalg.norm(g, 2) * (1.0 + u))
 
@@ -368,20 +382,20 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarra
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    d = _check_dim(dim)
-    return random_isometry(d, d, rng)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    return random_isometry(dim, dim, rng)
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    d = _check_dim(dim)
-    v = complex_gaussian(rng, d)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    v = complex_gaussian(rng, dim)
     return v / np.linalg.norm(v)
 
 
 def random_l2_normalized(dim: int, rng: np.random.Generator, weight: float = 1.0) -> np.ndarray:
     """Random a with weighted trace w * Tr(a* a) = 1."""
-    d = _check_dim(dim)
-    g = complex_gaussian(rng, d, d)
+    require_dims(MAX_DIM ** 2, dim=dim)
+    g = complex_gaussian(rng, dim, dim)
     norm_sq = weight * float(np.trace(g.conj().T @ g).real)
     return g / math.sqrt(norm_sq)
 

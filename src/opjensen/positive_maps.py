@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
 from .linalg_core import (
     as_complex,
     frob,
@@ -22,6 +21,7 @@ from .linalg_core import (
     random_hermitian,
     random_isometry,
     random_unitary,
+    require_shape,
 )
 from .tensor_ops import TensorSpace, require_dims, require_trace_weights
 
@@ -85,19 +85,13 @@ class PositiveMap:
         if (self.kraus is None) == (self.action is None):
             raise ValueError("exactly one of kraus/action must be provided")
         if self.kraus is not None:
-            ops = tuple(as_complex(v) for v in self.kraus)
-            for v in ops:
-                if v.shape != (self.in_dim, self.out_dim):
-                    raise DimensionError(
-                        f"Kraus operator shape {v.shape} != ({self.in_dim}, {self.out_dim})"
-                    )
+            shape = (self.in_dim, self.out_dim)
+            ops = tuple(require_shape(as_complex(v), shape, f"kraus[{k}]")
+                        for k, v in enumerate(self.kraus))
             object.__setattr__(self, "kraus", ops)
         else:
-            act = as_complex(self.action)
-            if act.shape != (self.out_dim ** 2, self.in_dim ** 2):
-                raise DimensionError(
-                    f"action shape {act.shape} != ({self.out_dim ** 2}, {self.in_dim ** 2})"
-                )
+            shape = (self.out_dim ** 2, self.in_dim ** 2)
+            act = require_shape(as_complex(self.action), shape, "action")
             object.__setattr__(self, "action", act)
 
     def on_identity(self) -> np.ndarray:
@@ -125,9 +119,7 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def apply_map(phi: PositiveMap, x) -> np.ndarray:
-    xm = as_complex(x)
-    if xm.shape != (phi.in_dim, phi.in_dim):
-        raise DimensionError(f"input shape {xm.shape} != ({phi.in_dim}, {phi.in_dim})")
+    xm = require_shape(as_complex(x), (phi.in_dim, phi.in_dim), "x")
     if phi.kraus is not None:
         out = np.zeros((phi.out_dim, phi.out_dim), dtype=np.complex128)
         for v in phi.kraus:

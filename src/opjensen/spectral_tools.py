@@ -167,11 +167,6 @@ def singular_value_function(x, algebra: BlockAlgebra) -> StepFunction:
     """mu_t of a block-diagonal element: the decreasing rearrangement of the
     singular values, each occupying a t-interval of its block's trace weight.
     """
-    a = as_complex(x)
-    if a.shape != (algebra.total_dim, algebra.total_dim):
-        raise DimensionError(
-            f"matrix shape {a.shape} does not match algebra total dim {algebra.total_dim}"
-        )
     pieces: list[tuple[float, float]] = []
     for w, blk in zip(algebra.trace_weights, algebra.blocks(x)):
         for s in np.linalg.svd(blk, compute_uv=False):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UsageError, require_within
-from .linalg_core import as_complex
+from .errors import DimensionError, UsageError
+from .linalg_core import MAX_DIM, as_complex, require_dims, require_shape
 
 __all__ = [
     "MAX_DIM",
@@ -30,15 +30,6 @@ __all__ = [
     "conjugate_compress",
     "slice_map",
 ]
-
-
-MAX_DIM = 64  # the largest tensor-factor, map or block dimension (64 x 64 acts on C^4096)
-
-
-def require_dims(**dims: int) -> None:
-    """Refuse, as a DimensionError naming it, a dimension outside 1..MAX_DIM."""
-    for name, d in dims.items():
-        require_within(name, d, 1, MAX_DIM, DimensionError)
 
 
 def require_trace_weights(*weights: float) -> None:
@@ -59,22 +50,13 @@ class TensorSpace:
     def total_dim(self) -> int:
         return self.d1 * self.d2
 
-    def reshape4(self, x: np.ndarray) -> np.ndarray:
-        """View a (d1 d2) x (d1 d2) matrix as a 4-index tensor [i1,i2,j1,j2]."""
-        if x.shape != (self.total_dim, self.total_dim):
-            raise DimensionError(
-                f"matrix shape {x.shape} does not match space {self.d1}x{self.d2}"
-            )
-        return x.reshape(self.d1, self.d2, self.d1, self.d2)
-
     def operand(self, x, factor: int, name: str) -> np.ndarray:
         """`x` as a complex matrix acting on tensor factor 1 or 2, which must
-        be d_i x d_i; any other shape is a DimensionError naming `name`."""
-        m = as_complex(x)
-        d = self.d1 if factor == 1 else self.d2
-        if m.shape != (d, d):
-            raise DimensionError(f"{name} has shape {m.shape}, expected ({d}, {d}) on factor {factor}")
-        return m
+        be d_i x d_i, or on the whole space for factor 0, which must be
+        (d1 d2) x (d1 d2); any other shape is a DimensionError naming `name`."""
+        d = (self.total_dim, self.d1, self.d2)[factor]
+        where = f" on factor {factor}" if factor else f" on the space {self.d1}x{self.d2}"
+        return require_shape(as_complex(x), (d, d), name, where)
 
 
 @dataclass(frozen=True)
@@ -85,14 +67,14 @@ class BlockAlgebra:
     trace_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for d in self.block_dims:
+            require_dims(block_dims=d)
         object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
         object.__setattr__(self, "trace_weights", tuple(float(w) for w in self.trace_weights))
         if len(self.block_dims) != len(self.trace_weights):
             raise DimensionError("block_dims and trace_weights must have equal length")
         if not self.block_dims:
             raise DimensionError("a block algebra needs at least one block")
-        for d in self.block_dims:
-            require_dims(block_dims=d)
         require_trace_weights(*self.trace_weights)
 
     @classmethod
@@ -104,11 +86,8 @@ class BlockAlgebra:
         return sum(self.block_dims)
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        a = as_complex(x)
-        if a.shape != (self.total_dim, self.total_dim):
-            raise DimensionError(
-                f"matrix shape {a.shape} does not match algebra of total dim {self.total_dim}"
-            )
+        n = self.total_dim
+        a = require_shape(as_complex(x), (n, n), "x", f" on blocks {self.block_dims}")
         ends = list(itertools.accumulate(self.block_dims))
         return [a[end - d:end, end - d:end] for d, end in zip(self.block_dims, ends)]
 
@@ -122,8 +101,7 @@ class BlockAlgebra:
 
 def conjugate_compress(x, a, space: TensorSpace) -> np.ndarray:
     """(a* (x) 1) X (a (x) 1) for a acting on the first factor."""
-    xm = as_complex(x)
-    space.reshape4(xm)  # refuses a shape that does not match the space
+    xm = space.operand(x, 0, "x")
     e = np.kron(space.operand(a, 1, "a"), np.eye(space.d2, dtype=np.complex128))
     return e.conj().T @ xm @ e
 
@@ -144,7 +122,7 @@ def slice_map(x, density, side: str, space: TensorSpace) -> np.ndarray:
     Linear and *-compatible; positive densities give positivity-preserving
     slices.
     """
-    t = space.reshape4(as_complex(x))
+    t = space.operand(x, 0, "x").reshape(space.d1, space.d2, space.d1, space.d2)
     dens = space.operand(density, 2 if side == "right" else 1, "density").conj()
     if side == "right":
         return np.einsum("lk,iljk->ij", dens, t)

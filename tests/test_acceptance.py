@@ -6,6 +6,7 @@ them). Tolerances are pinned here, not tuned at run time.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def test_acceptance_03_petz_self_adjoint(tmp_path):
         out_path=str(tmp_path / "petz.jsonl"),
     )
     summary = run_campaign(config, jobs=JOBS)
-    reports = [json.loads(ln) for ln in open(config.out_path).read().splitlines()]
+    reports = [json.loads(ln) for ln in Path(config.out_path).read_text().splitlines()]
     kinds = {r["params"]["map_kind"] for r in reports}
     branches = {r["params"]["branch"] for r in reports}
     ok = (
@@ -127,7 +128,7 @@ def test_acceptance_04_zero_map_negative_control(tmp_path, capsys):
     rc = cli_entry(["search", "--target", "petz_drop_f0", "--trials", "10",
                     "--seed", "1", "--dims", "2,3,4", "--out", wpath])
     captured = capsys.readouterr().out
-    rec = json.loads(open(wpath).read().splitlines()[0])
+    rec = json.loads(Path(wpath).read_text().splitlines()[0])
     n = rec["params"]["d2"]
     ok = (
         rc == EXIT_OK
@@ -281,9 +282,9 @@ def test_acceptance_10_numerics_floor():
 def test_acceptance_11_campaign_determinism(tmp_path):
     cfg = default_campaign(master_seed=42, out_path=str(tmp_path / "one.jsonl"))
     run_campaign(cfg, jobs=JOBS)
-    first = open(cfg.out_path, "rb").read()
+    first = Path(cfg.out_path).read_bytes()
     cfg.out_path = str(tmp_path / "two.jsonl")
     run_campaign(cfg, jobs=1)
-    second = open(cfg.out_path, "rb").read()
+    second = Path(cfg.out_path).read_bytes()
     ok = first == second and len(first) > 0
     _record(11, ok, f"default campaign byte-identical across runs ({len(first)} bytes)")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,21 +47,21 @@ def small_config(tmp_path, **overrides) -> CampaignConfig:
 def test_campaign_determinism_bytes(tmp_path):
     cfg = small_config(tmp_path, trials=100)
     run_campaign(cfg, jobs=1)
-    first = open(cfg.out_path, "rb").read()
+    first = Path(cfg.out_path).read_bytes()
     run_campaign(cfg, jobs=1)
-    second = open(cfg.out_path, "rb").read()
+    second = Path(cfg.out_path).read_bytes()
     assert first == second
-    summary = open(_csv_path_for(cfg.out_path), "rb").read()
+    summary = Path(_csv_path_for(cfg.out_path)).read_bytes()
     run_campaign(cfg, jobs=2)
-    parallel = open(cfg.out_path, "rb").read()
+    parallel = Path(cfg.out_path).read_bytes()
     assert first == parallel
-    assert open(_csv_path_for(cfg.out_path), "rb").read() == summary
+    assert Path(_csv_path_for(cfg.out_path)).read_bytes() == summary
 
 
 def test_campaign_summary_and_conservation(tmp_path):
     cfg = small_config(tmp_path, checks=["check_cfl", "check_partial_trace_duality"], trials=25)
     summary = run_campaign(cfg, jobs=1)
-    lines = [ln for ln in open(cfg.out_path).read().splitlines() if ln]
+    lines = [ln for ln in Path(cfg.out_path).read_text().splitlines() if ln]
     assert len(lines) == 2 * 25 == summary["total"]
     assert summary["passed"] + summary["failed"] == summary["total"]
     assert summary["failed"] == 0
@@ -76,7 +77,7 @@ def test_campaign_summary_and_conservation(tmp_path):
 def test_reports_parse_as_check_reports(tmp_path):
     cfg = small_config(tmp_path, trials=10)
     run_campaign(cfg, jobs=1)
-    for line in open(cfg.out_path).read().splitlines():
+    for line in Path(cfg.out_path).read_text().splitlines():
         rep = CheckReport.from_dict(json.loads(line))
         assert rep.check_name == "check_cfl"
         assert rep.passed == (rep.gap >= -rep.tol)
@@ -151,7 +152,7 @@ def test_cli_check_passes(tmp_path, capsys):
         "--function", "square", "--seed", "7", "--trials", "100", "--out", out,
     ])
     assert rc == EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 100
     payload = json.loads(capsys.readouterr().out.splitlines()[0])
     assert payload["failures"] == 0
@@ -206,7 +207,7 @@ def test_cli_search_and_replay_fidelity(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert '"violation_found": true' in out
-    rec = json.loads(open(wpath).read().splitlines()[0])
+    rec = json.loads(Path(wpath).read_text().splitlines()[0])
     assert rec["witness"]
     rc = cli_entry(["replay", "--witness", wpath])
     assert rc == EXIT_OK
@@ -222,7 +223,7 @@ def test_cli_replay_reads_a_pretty_printed_json_report(tmp_path, capsys):
                       "--seed", "1", "--out", lines]) == EXIT_OK
     pretty = str(tmp_path / "w.json")
     with open(pretty, "w") as fh:
-        json.dump(json.loads(open(lines).read()), fh, indent=2)
+        json.dump(json.loads(Path(lines).read_text()), fh, indent=2)
     capsys.readouterr()
     assert cli_entry(["replay", "--witness", pretty]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["reproduced"] is True
@@ -253,7 +254,7 @@ def test_cli_campaign_with_config_file(tmp_path, capsys):
         }, fh)
     rc = cli_entry(["campaign", "--config", cfg_path, "--jobs", "1"])
     assert rc == EXIT_OK
-    assert len(open(out).read().splitlines()) == 12
+    assert len(Path(out).read_text().splitlines()) == 12
     assert os.path.exists(_csv_path_for(out))
 
 
@@ -275,7 +276,7 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     rc = cli_entry(["check", "--name", "check_cfl", "--seed", "777", "--trials", "5",
                     "--out", out2])
     assert rc == EXIT_OK
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,7 +415,7 @@ def test_cli_replay_mismatch_exits_one(tmp_path, capsys):
     assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "2",
                       "--seed", "3", "--out", wpath]) == EXIT_OK
     capsys.readouterr()
-    rec = json.loads(open(wpath).read().splitlines()[0])
+    rec = json.loads(Path(wpath).read_text().splitlines()[0])
     rec["gap"] = 123.0
     tampered = str(tmp_path / "tampered.jsonl")
     with open(tampered, "w") as fh:
@@ -607,7 +608,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
-    assert len(open(out).read().splitlines()) == 3
+    assert len(Path(out).read_text().splitlines()) == 3
     bad = subprocess.run([sys.executable, "-m", "opjensen", "bogus"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == EXIT_USAGE
@@ -637,7 +638,7 @@ def _witness_record(tmp_path, capsys) -> dict:
     assert cli_entry(["search", "--target", "petz_drop_f0", "--trials", "2",
                       "--seed", "3", "--out", wpath]) == EXIT_OK
     capsys.readouterr()
-    return json.loads(open(wpath).read().splitlines()[0])
+    return json.loads(Path(wpath).read_text().splitlines()[0])
 
 
 def _write(tmp_path, rec: dict) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opjensen import jensen_checks, tensor_ops
-from opjensen.convex_catalog import get_function, parse_function_spec
+from opjensen.convex_catalog import check_operator_convex, get_function, parse_function_spec
 from opjensen.errors import DimensionError, DomainError, HypothesisError, UsageError
 from opjensen.intervals import Interval
 from opjensen.jensen_checks import (
@@ -53,7 +53,7 @@ from opjensen.positive_maps import (
     transpose_map,
 )
 from opjensen.reporting import CheckReport
-from opjensen.spectral_tools import monotone_sign_split
+from opjensen.spectral_tools import monotone_sign_split, singular_value_function
 from opjensen.tensor_ops import BlockAlgebra, TensorSpace, conjugate_compress, slice_map
 
 SPACE22 = TensorSpace(2, 2)
@@ -1033,12 +1033,16 @@ def test_hansen_pedersen_rejects_positive_f0_contraction():
 
 
 _H6, _RHO2, _RHO3 = random_hermitian(6, rng_stream(98)), np.eye(2) / 2, np.eye(3) / 3
+_ON_23 = "H has shape (4, 4), expected (6, 6) on the space 2x3"
+_ALG22 = BlockAlgebra((2, 2), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: check_cfl(_H6, _RHO3, get_function("square"), SPACE23), "rho has shape (3, 3)"),
+    (lambda: check_cfl(_H6, _RHO3, get_function("square"), SPACE23),
+     "rho has shape (3, 3), expected (2, 2) on factor 1"),
     (lambda: check_main_tracial(_H6, np.ones((2, 3)), get_function("square"), SPACE23,
-                                (1.0, 1.0), "normalized"), "a has shape (2, 3)"),
+                                (1.0, 1.0), "normalized"),
+     "a has shape (2, 3), expected (2, 2) on factor 1"),
     (lambda: check_state_version(_H6, np.eye(2), get_function("square"), _RHO2, _RHO2,
                                  SPACE23), "rho2 has shape (2, 2), expected (3, 3) on factor 2"),
     (lambda: check_state_version(_H6, np.eye(2), get_function("square"), _RHO3, _RHO3,
@@ -1047,21 +1051,52 @@ _H6, _RHO2, _RHO3 = random_hermitian(6, rng_stream(98)), np.eye(2) / 2, np.eye(3
     (lambda: check_hansen_pedersen(_H6, np.ones((2, 3)), get_function("square"), SPACE23),
      "a has shape (2, 3), expected (2, 2) on factor 1"),
     (lambda: check_partial_trace_duality(_H6, np.eye(3), SPACE23, (1.0, 1.0)),
-     "a has shape (3, 3)"),
-    (lambda: slice_compress_map(np.ones((3, 2)), SPACE23, 1.0), "a has shape (3, 2)"),
+     "a has shape (3, 3), expected (2, 2) on factor 1"),
+    (lambda: slice_compress_map(np.ones((3, 2)), SPACE23, 1.0),
+     "a has shape (3, 2), expected (2, 2) on factor 1"),
     (lambda: conjugate_compress(_H6, np.ones((2, 3)), SPACE23),
      "a has shape (2, 3), expected (2, 2) on factor 1"),
     (lambda: slice_map(_H6, _RHO2, "right", SPACE23),
      "density has shape (2, 2), expected (3, 3) on factor 2"),
     (lambda: slice_map(_H6, _RHO3, "left", SPACE23),
      "density has shape (3, 3), expected (2, 2) on factor 1"),
+    # each check refuses a whole-space operator that does not act on the
+    # space before any hypothesis, as a DimensionError naming it
+    (lambda: check_cfl(np.eye(4), _RHO2, get_function("square"), SPACE23), _ON_23),
+    (lambda: check_main_tracial(np.eye(4), np.eye(2) / 2, get_function("square"), SPACE23,
+                                (1.0, 1.0), "normalized"), _ON_23),
+    # rho2 is not faithful either: the shape is refused before any hypothesis
+    (lambda: check_state_version(np.eye(4), np.eye(2), get_function("square"), _RHO2,
+                                 np.diag([1.0, 0.0, 0.0]), SPACE23), _ON_23),
+    (lambda: check_hansen_pedersen(np.eye(4), np.eye(2), get_function("square"), SPACE23),
+     _ON_23),
+    (lambda: check_partial_trace_duality(np.eye(4), np.eye(2), SPACE23, (1.0, 1.0)),
+     "X has shape (4, 4), expected (6, 6) on the space 2x3"),
+    (lambda: PositiveMap("kraus", 2, 3, kraus=(np.ones((2, 3)), np.ones((3, 2)))),
+     "kraus[1] has shape (3, 2), expected (2, 3)"),
+    (lambda: PositiveMap("generic", 2, 3, action=np.ones((4, 9))),
+     "action has shape (4, 9), expected (9, 4)"),
+    (lambda: apply_map(identity_map(3), np.eye(2)), "x has shape (2, 2), expected (3, 3)"),
+    (lambda: _ALG22.blocks(np.eye(3)), "x has shape (3, 3), expected (4, 4) on blocks (2, 2)"),
+    (lambda: singular_value_function(np.eye(3), _ALG22),
+     "x has shape (3, 3), expected (4, 4) on blocks (2, 2)"),
+    (lambda: check_vector_jensen(identity_map(2), np.eye(2), get_function("square"),
+                                 np.ones(3) / np.sqrt(3)), "xi has shape (3,), expected (2,)"),
+    # a generator's dim is an integer up to MAX_DIM ** 2, the largest whole space
+    (lambda: random_hermitian(2.5, rng_stream(1)),
+     f"dim must be from 1 to {tensor_ops.MAX_DIM ** 2}, got 2.5"),
+    (lambda: check_operator_convex(get_function("square"), 2.5, 3, 1),
+     f"dim must be from 1 to {tensor_ops.MAX_DIM ** 2}, got 2.5"),
 ], ids=["cfl_rho", "main_tracial_a", "state_rho2", "state_rho1", "hansen_pedersen_a",
         "duality_a", "slice_compress_a", "conjugate_compress_a", "right_slice_density",
-        "left_slice_density"])
+        "left_slice_density", "cfl_H", "main_tracial_H", "state_H", "hansen_pedersen_H",
+        "duality_X", "kraus", "action", "apply_map_x", "blocks_x",
+        "singular_value_function_x", "vector_jensen_xi", "random_hermitian_dim",
+        "operator_convex_dim"])
 def test_every_tensor_factor_operand_is_refused_by_the_one_shape_rule(call, message):
     with pytest.raises(DimensionError) as err:
         call()
-    assert message in str(err.value) and "on factor" in str(err.value)
+    assert str(err.value) == message and len(message) < 200
 
 
 # ---------------------------------------------------------------------------

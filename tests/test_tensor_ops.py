@@ -52,7 +52,9 @@ def test_dimensions_are_bounded_in_a_short_message():
     bound = tensor_ops.MAX_DIM
     assert TensorSpace(bound, bound).total_dim == bound * bound  # builds no matrix
     for bad, shown in ((0, "0"), (bound + 1, str(bound + 1)),
-                       (10 ** 300, "an integer of 301 digits")):
+                       (10 ** 300, "an integer of 301 digits"),
+                       # a dimension is an integer, and a bool is not one
+                       (2.5, "2.5"), (True, "True")):
         for make in (lambda d: TensorSpace(2, d), lambda d: BlockAlgebra((2, d), (1.0, 1.0))):
             with pytest.raises(DimensionError) as err:
                 make(bad)

@@ -128,11 +128,17 @@ MUTANTS = [
      "    if bool in types or not all(issubclass(t, (int, float)) for t in types):",
      "    if not all(issubclass(t, (int, float)) for t in types):"),
     ("the one shape rule checks d1 where it should check d2", _TENSOR,
-     "        d = self.d1 if factor == 1 else self.d2",
-     "        d = self.d1"),
-    ("MAX_DIM ten times too large", _TENSOR,
+     "        d = (self.total_dim, self.d1, self.d2)[factor]",
+     "        d = (self.total_dim, self.d1, self.d1)[factor]"),
+    ("require_shape compares only shape[:1]", _LINALG,
+     "    if m.shape != shape:",
+     "    if m.shape[:1] != shape[:1]:"),
+    ("MAX_DIM ten times too large", _LINALG,
      "MAX_DIM = 64  #",
      "MAX_DIM = 640  #"),
+    ("require_dims drops its integer test", _LINALG,
+     "        if isinstance(d, bool) or not isinstance(d, numbers.Integral):",
+     "        if False:"),
     ("the int shape reads any integral float, 1e300 too", _REPORTING,
      "                and not (value.is_integer() and abs(value) < 2 ** 53)):",
      "                and not value.is_integer()):"),
